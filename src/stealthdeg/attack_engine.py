@@ -48,6 +48,8 @@ class IncompletenessSpec:
             raise ValidationError(f"support index out of range for l={l}")
         if lo.shape != (l,) or hi.shape != (l,):
             raise ValidationError("phi, phi_min, phi_max must share one length")
+        if not all(np.isfinite(vec).all() for vec in (phi, lo, hi)):
+            raise ValidationError("phi, phi_min, phi_max must be finite")
         off = np.ones(l, dtype=bool)
         off[list(support)] = False
         for name, vec in (("phi", phi), ("phi_min", lo), ("phi_max", hi)):
@@ -264,12 +266,15 @@ def read_spec_csv(text, l):
                 f"branch_index {idx + 1} outside 1..{l}"
             )
         support.append(idx)
-        if has_phi:
-            phi[idx] = float(row["phi"])
-        if has_bounds:
-            lo[idx] = float(row["phi_min"])
-            hi[idx] = float(row["phi_max"])
-        else:
+        try:
+            if has_phi:
+                phi[idx] = float(row["phi"])
+            if has_bounds:
+                lo[idx] = float(row["phi_min"])
+                hi[idx] = float(row["phi_max"])
+        except (TypeError, ValueError):
+            raise ValidationError(f"bad ratio in row {row}") from None
+        if not has_bounds:
             lo[idx] = hi[idx] = phi[idx]
     if has_phi:
         return IncompletenessSpec(support=tuple(support), phi=phi,

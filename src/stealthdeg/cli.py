@@ -27,7 +27,8 @@ from .grid_model import build_model
 from .regime_analysis import classify_delta, definiteness_conditions
 from .stochastics import build_scenario, toeplitz_cov
 
-_NUMERICAL_ERRORS = (NotPSDError, SingularityError, DomainError)
+_NUMERICAL_ERRORS = (NotPSDError, SingularityError, DomainError,
+                     np.linalg.LinAlgError)
 
 
 class _UsageError(Exception):
@@ -48,8 +49,8 @@ def parse_range(text):
         start, end, step = (float(p) for p in parts)
     except ValueError:
         raise ValidationError(f"non-numeric range component in {text!r}") from None
-    if step <= 0 or end < start:
-        raise ValidationError(f"need end >= start and step > 0 in {text!r}")
+    if not np.isfinite([start, end, step]).all() or step <= 0 or end < start:
+        raise ValidationError(f"need finite end >= start and step > 0 in {text!r}")
     count = int(np.floor((end - start) / step + 0.5))
     return [start + i * step for i in range(count + 1)]
 
@@ -75,6 +76,8 @@ def _model_for(args):
 def _scenario_for(args, model):
     if not 0.0 <= args.rho < 1.0:
         raise ValidationError(f"rho must lie in [0, 1), got {args.rho}")
+    if not np.isfinite(args.snr_db):
+        raise ValidationError(f"snr-db must be finite, got {args.snr_db}")
     return build_scenario(model, args.rho, args.snr_db)
 
 
@@ -176,7 +179,9 @@ def _cmd_sweep_k(args):
     return 0
 
 
-def _run_maximize(args, model, stats):
+def _run_maximize(args):
+    model = _model_for(args)
+    stats = _scenario_for(args, model)
     spec = _read_spec(args.bounds, model.l)
     if args.oracle:
         result, _ = degradation_opt.maximize_with_oracle(
@@ -186,13 +191,11 @@ def _run_maximize(args, model, stats):
         result = degradation_opt.greedy_maximize(
             model, stats, spec, refine=args.refine
         )
-    return spec, result
+    return model, spec, result
 
 
 def _cmd_maximize(args):
-    model = _model_for(args)
-    stats = _scenario_for(args, model)
-    spec, result = _run_maximize(args, model, stats)
+    _, spec, result = _run_maximize(args)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("branch_index,phi_star,choice\n")
         for i, flag in zip(spec.support, result.vertex_flags):
@@ -206,9 +209,7 @@ def _cmd_maximize(args):
 
 
 def _cmd_mtd_plan(args):
-    model = _model_for(args)
-    stats = _scenario_for(args, model)
-    spec, result = _run_maximize(args, model, stats)
+    model, spec, result = _run_maximize(args)
     chosen = attack_engine.IncompletenessSpec.from_phi(
         result.phi_star, support=spec.support
     )
@@ -236,6 +237,18 @@ def _add_common(sub, scenario=True):
                          help="state-correlation decay in [0, 1)")
         sub.add_argument("--snr-db", type=float, required=True,
                          help="signal-to-noise ratio in dB")
+
+
+def _add_maximize_args(sub):
+    _add_common(sub)
+    sub.add_argument("--bounds", required=True,
+                     help="bounds CSV (branch_index,phi_min,phi_max)")
+    sub.add_argument("--oracle", action="store_true",
+                     help="also run the exhaustive oracle and report the gap")
+    sub.add_argument("--cap", type=int, default=degradation_opt.ENUMERATION_CAP)
+    sub.add_argument("--refine", action="store_true",
+                     help="re-sweep coordinates until stable (extension)")
+    sub.add_argument("--out", required=True)
 
 
 def build_parser():
@@ -282,25 +295,12 @@ def build_parser():
     p.set_defaults(handler=_cmd_sweep_k)
 
     p = subs.add_parser("maximize", help="stealth-degradation maximization")
-    _add_common(p)
-    p.add_argument("--bounds", required=True,
-                   help="bounds CSV (branch_index,phi_min,phi_max)")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the exhaustive oracle and report the gap")
-    p.add_argument("--cap", type=int, default=degradation_opt.ENUMERATION_CAP)
-    p.add_argument("--refine", action="store_true",
-                   help="re-sweep coordinates until stable (extension)")
-    p.add_argument("--out", required=True)
+    _add_maximize_args(p)
     p.set_defaults(handler=_cmd_maximize)
 
     p = subs.add_parser("mtd-plan",
                         help="maximize, then emit operator admittance targets")
-    _add_common(p)
-    p.add_argument("--bounds", required=True)
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--cap", type=int, default=degradation_opt.ENUMERATION_CAP)
-    p.add_argument("--refine", action="store_true")
-    p.add_argument("--out", required=True)
+    _add_maximize_args(p)
     p.set_defaults(handler=_cmd_mtd_plan)
 
     return parser

@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .attack_engine import delta_from_state_cov, state_edge_cov
-from .errors import CapExceededError
-from .info_metrics import (
-    _checked_eigvals,
-    kl_divergence,
-    mutual_information,
-    sym_sqrt,
-)
+from .errors import CapExceededError, SingularityError
 
 ENUMERATION_CAP = 20
 
@@ -51,48 +45,67 @@ class OptimizationResult:
     oracle_gap: float = None
 
 
-class ObjectiveEvaluator:
-    """Caches the scenario constants reused by every objective evaluation.
+def _logdet_pd(mat, context):
+    """log|mat| of a positive-definite matrix from its Cholesky pivots."""
+    logdet = 2.0 * float(np.log(np.diagonal(np.linalg.cholesky(mat))).sum())
+    if not np.isfinite(logdet):
+        raise SingularityError(f"{context} has a non-finite log-determinant")
+    return logdet
 
-    Holds W = A sigma_xx A^T, the column-scaled stack J diag(b), and the
-    matrix square roots of the precision and signal covariance.  The
-    objective itself is evaluated on the reduced l x l matrix
-    G^1/2 K G^1/2 with G = diag(b) J^T S J diag(b) and K = W + delta: the
-    nonzero eigenvalues match those of S^1/2 T S^1/2 exactly (Sylvester),
-    and the extra zero eigenvalues contribute nothing to x - log(1 + x).
+
+class ObjectiveEvaluator:
+    """The one numerical core behind the objective, KL and MI of a scenario.
+
+    W + delta = (I + Phi) W (I + Phi) factors the attack covariance as
+    T(phi) = J C C^T J^T with C = diag(1 + phi) F, F = diag(b) A L and
+    sigma_xx = L L^T.  Sylvester's identity then gives, on n x n matrices,
+
+        2 kl = tr(M) - log|I + M|,   M = C^T (J^T S J) C,
+        2 mi = log|I + P^T P / sigma2| - log|I + K^T K / sigma2|,
+
+    with K = J C and P = [K, J F]; the objective is 2 kl.  Log-determinants
+    come from Cholesky pivots of matrices no smaller than I.  W is kept for
+    the delta route of :meth:`attack_cov` and for regime labels.
     """
 
     def __init__(self, model, stats):
         self.model = model
         self.stats = stats
         self.W = state_edge_cov(model, stats.sigma_xx)
-        self.JD = model.J * model.b
-        self.s_half = sym_sqrt(stats.sigma_yy_inv)
-        self.u_half = sym_sqrt(stats.cov_signal)
-        gram = self.JD.T @ stats.sigma_yy_inv @ self.JD
-        self.g_half = sym_sqrt((gram + gram.T) / 2.0)
+        self._F = model.b[:, None] * (model.A @ np.linalg.cholesky(stats.sigma_xx))
+        gram = model.J.T @ stats.sigma_yy_inv @ model.J
+        self._G = (gram + gram.T) / 2.0
+        self._JtJ = model.J.T @ model.J
+        self._JF_gram = self._F.T @ self._JtJ @ self._F
+        self._eye = np.eye(model.n)
         self._baseline = None
 
     def attack_cov(self, phi):
-        """Attack covariance T(phi) through the delta route."""
-        inner = self.W + delta_from_state_cov(self.W, phi)
-        return self.JD @ inner @ self.JD.T
+        """Attack covariance T(phi) through the delta route (m x m)."""
+        jd = self.model.J * self.model.b
+        return jd @ (self.W + delta_from_state_cov(self.W, phi)) @ jd.T
+
+    def _kl(self, c):
+        m = c.T @ (self._G @ c)
+        kl = 0.5 * (float(np.trace(m)) - _logdet_pd(self._eye + m, "I + M"))
+        # tr(M) and log|I + M| cancel as phi nears -1; clamp the roundoff.
+        return 0.0 if -1e-12 <= kl < 0.0 else kl
 
     def objective(self, phi):
         """Detectability objective (twice the KL divergence) at phi."""
-        inner = self.W + delta_from_state_cov(self.W, phi)
-        lam = _checked_eigvals(self.g_half @ inner @ self.g_half,
-                               "objective inner matrix")
-        return float(np.sum(lam - np.log1p(lam)))
+        return 2.0 * self._kl((1.0 + phi)[:, None] * self._F)
 
     def metrics(self, phi):
         """(kl, mi) of the attack built from phi."""
-        t = self.attack_cov(phi)
-        kl = kl_divergence(self.stats.sigma_yy_inv, t, precision_sqrt=self.s_half)
-        mi = mutual_information(
-            self.stats.cov_signal, t, self.stats.sigma2, signal_sqrt=self.u_half
-        )
-        return kl, mi
+        c = (1.0 + phi)[:, None] * self._F
+        q = self._JtJ @ c
+        ktk = c.T @ q
+        cross = q.T @ self._F
+        ptp = np.block([[ktk, cross], [cross.T, self._JF_gram]])
+        s2 = self.stats.sigma2
+        mi = 0.5 * (_logdet_pd(np.eye(2 * self.model.n) + ptp / s2, "I + P^T P")
+                    - _logdet_pd(self._eye + ktk / s2, "I + K^T K"))
+        return self._kl(c), mi
 
     def baseline(self):
         """(kl_opt, mi_opt): metrics of the complete-information attack."""
@@ -150,33 +163,23 @@ def greedy_maximize(model, stats, spec, *, refine=False, evaluator=None):
     """
     ev = evaluator or ObjectiveEvaluator(model, stats)
     phi = np.zeros(spec.l)
-    for i in spec.support:
-        lo, hi = spec.phi_min[i], spec.phi_max[i]
-        if lo == hi:
-            phi[i] = lo
-            continue
-        phi[i] = lo
-        obj_lo = ev.objective(phi)
-        phi[i] = hi
-        obj_hi = ev.objective(phi)
-        phi[i] = lo if obj_lo >= obj_hi else hi
-
-    if refine:
-        for _ in range(50):
-            changed = False
-            for i in spec.support:
-                lo, hi = spec.phi_min[i], spec.phi_max[i]
-                if lo == hi:
-                    continue
-                previous = phi[i]
+    # The first sweep always runs; refine adds up to 50 re-sweeps.
+    for sweep in range(51 if refine else 1):
+        changed = sweep == 0
+        for i in spec.support:
+            lo, hi = spec.phi_min[i], spec.phi_max[i]
+            if lo == hi:
                 phi[i] = lo
-                obj_lo = ev.objective(phi)
-                phi[i] = hi
-                obj_hi = ev.objective(phi)
-                phi[i] = lo if obj_lo >= obj_hi else hi
-                changed = changed or phi[i] != previous
-            if not changed:
-                break
+                continue
+            previous = phi[i]
+            phi[i] = lo
+            obj_lo = ev.objective(phi)
+            phi[i] = hi
+            obj_hi = ev.objective(phi)
+            phi[i] = lo if obj_lo >= obj_hi else hi
+            changed = changed or phi[i] != previous
+        if not changed:
+            break
 
     return OptimizationResult(
         phi_star=phi,

@@ -35,6 +35,8 @@ def fmt17(x):
 
 def trial_rng(seed, trial):
     """Philox generator keyed by (seed, trial): the per-trial substream."""
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
     key = np.array([seed, trial], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

@@ -11,9 +11,11 @@ detectability proxy), and
     mi = 1/2 log|I + U^1/2 (sigma2 I + T)^-1 U^1/2|,   U = H sigma_xx H^T,
 
 is the information the operator still obtains about the states.  Both are
-reported in nats.  Log-determinants are evaluated from eigenvalues of the
-symmetrized inner matrices, which stays robust as T approaches the PSD
-boundary.
+reported in nats.  ``kl_divergence`` and ``mutual_information`` accept any
+PSD attack covariance and take log-determinants from eigenvalues of the
+symmetrized m x m inner matrices.  Attacks built from a ratio vector
+(``evaluate``, ``optimal_metrics``) go through the reduced n x n core of
+:class:`~stealthdeg.degradation_opt.ObjectiveEvaluator` instead.
 """
 
 from dataclasses import dataclass
@@ -21,13 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .attack_engine import attack_covariances, IncompletenessSpec
+from .degradation_opt import ObjectiveEvaluator
 from .errors import DomainError, NotPSDError, SingularityError
 
 # Negative eigenvalues above the error threshold are treated as roundoff and
 # clamped; below it the matrix is genuinely indefinite and surfaced.
 PSD_ERROR_SCALE = 1e-6
-PSD_CLAMP_SCALE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -72,24 +73,23 @@ def sym_sqrt(mat):
     return (root + root.T) / 2.0
 
 
-def kl_divergence(precision, cov_attack, *, precision_sqrt=None):
+def kl_divergence(precision, cov_attack):
     """Divergence between attacked and clean measurement distributions.
 
-    ``precision`` is the inverse clean-measurement covariance; a cached
-    square root can be supplied to amortize sweeps.
+    ``precision`` is the inverse clean-measurement covariance.
     """
-    s_half = sym_sqrt(precision) if precision_sqrt is None else precision_sqrt
+    s_half = sym_sqrt(precision)
     inner = s_half @ cov_attack @ s_half
     lam = _checked_eigvals(inner, "kl divergence inner matrix")
     kl = 0.5 * float(np.sum(lam - np.log1p(lam)))
     return 0.0 if -1e-12 <= kl < 0.0 else kl
 
 
-def mutual_information(cov_signal, cov_attack, sigma2, *, signal_sqrt=None):
+def mutual_information(cov_signal, cov_attack, sigma2):
     """Information the operator obtains from attacked measurements."""
     if sigma2 <= 0.0:
         raise DomainError(f"sigma2 must be positive, got {sigma2}")
-    u_half = sym_sqrt(cov_signal) if signal_sqrt is None else signal_sqrt
+    u_half = sym_sqrt(cov_signal)
     m = u_half.shape[0]
     noisy = cov_attack + sigma2 * np.eye(m)
     try:
@@ -115,12 +115,7 @@ def integrity_cost(cov_attack, stats):
 
 def optimal_metrics(model, stats):
     """(kl, mi) of the complete-information attack (zero ratio vector)."""
-    art = attack_covariances(model, stats, IncompletenessSpec.uniform(model.l, 0.0))
-    t0 = art.cov_via_delta
-    return (
-        kl_divergence(stats.sigma_yy_inv, t0),
-        mutual_information(stats.cov_signal, t0, stats.sigma2),
-    )
+    return ObjectiveEvaluator(model, stats).baseline()
 
 
 def evaluate(model, stats, spec, *, baseline=None):
@@ -129,10 +124,7 @@ def evaluate(model, stats, spec, *, baseline=None):
     ``baseline`` is the (kl_opt, mi_opt) pair; pass a precomputed one when
     evaluating many specs against the same scenario.
     """
-    art = attack_covariances(model, stats, spec)
-    t = art.cov_via_delta
-    kl = kl_divergence(stats.sigma_yy_inv, t)
-    mi = mutual_information(stats.cov_signal, t, stats.sigma2)
-    if baseline is None:
-        baseline = optimal_metrics(model, stats)
-    return MetricsPoint(kl=kl, mi=mi, kl_opt=baseline[0], mi_opt=baseline[1])
+    ev = ObjectiveEvaluator(model, stats)
+    kl, mi = ev.metrics(spec.phi)
+    kl_opt, mi_opt = ev.baseline() if baseline is None else baseline
+    return MetricsPoint(kl=kl, mi=mi, kl_opt=kl_opt, mi_opt=mi_opt)

@@ -107,9 +107,5 @@ def interaction_eig_bounds(phi):
     phi^T 1 +- sqrt(phi^T phi * l); adding the rank-1 part phi phi^T (single
     nonzero eigenvalue phi^T phi >= 0) shifts only the upper bound.
     """
-    phi = np.asarray(phi, dtype=float)
-    l = phi.shape[0]
-    dot_ones = float(phi.sum())
-    sq = float(phi @ phi)
-    cross = float(np.sqrt(sq * l))
-    return sq + dot_ones + cross, dot_ones - cross
+    conditions = definiteness_conditions(phi)
+    return conditions.lhs_nsd, conditions.lhs_psd

@@ -168,3 +168,40 @@ class TestCommands:
         # branch 2: b = b' / (1 + phi) with b' = 1/0.092 and phi = 0.25
         assert float(second[2]) == pytest.approx((1 / 0.092) / 1.25)
         assert second[3] == "0"
+
+
+SCENARIO = ["--case", "case9", "--rho", "0.5", "--snr-db", "30"]
+
+
+@pytest.mark.parametrize("argv,csv_text", [
+    (["evaluate", *SCENARIO, "--spec", "{csv}"], "branch_index,phi\n1,nan\n"),
+    (["maximize", *SCENARIO, "--bounds", "{csv}", "--out", "{out}"],
+     "branch_index,phi_min,phi_max\n1,nan,0.5\n"),
+    (["evaluate", *SCENARIO, "--spec", "{csv}"], "branch_index,phi\n1,abc\n"),
+    (["evaluate", *SCENARIO, "--spec", "{csv}"],
+     "branch_index,phi_min,phi_max\n1,-0.5\n"),
+    (["classify", "--case", "case9", "--rho", "0.5", "--beta", "nan"], None),
+    (["montecarlo-alpha", *SCENARIO, "--alphas", "nan", "--trials", "2",
+      "--out", "{out}"], None),
+    (["montecarlo-alpha", *SCENARIO, "--alphas", "1", "--trials", "2",
+      "--seed=-1", "--out", "{out}"], None),
+    (["sweep-beta", "--case", "case9", "--rho", "0.5", "--snr-db", "nan",
+      "--beta", "0:1:0.5", "--out", "{out}"], None),
+    (["sweep-beta", *SCENARIO, "--beta=nan:1:0.5", "--out", "{out}"], None),
+], ids=["spec-phi-nan", "bounds-phi-min-nan", "spec-phi-abc", "spec-short-row",
+        "beta-nan", "alphas-nan", "seed-negative", "snr-db-nan", "range-nan"])
+def test_bad_scalar_input_is_two(argv, csv_text, tmp_path, capsys):
+    path = tmp_path / "in.csv"
+    if csv_text is not None:
+        path.write_text(csv_text)
+    argv = [a.format(csv=path, out=tmp_path / "out.csv") for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_overflowing_ratio_is_three(tmp_path, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n1,1e200\n")
+    with np.errstate(over="ignore"):
+        assert main(["evaluate", *SCENARIO, "--spec", str(spec)]) == 3
+    assert "numerical error" in capsys.readouterr().err

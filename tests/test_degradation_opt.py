@@ -10,6 +10,7 @@ from stealthdeg import (
     greedy_maximize,
     kl_divergence,
     maximize_with_oracle,
+    mutual_information,
     optimal_metrics,
     vertex_profiles,
 )
@@ -201,3 +202,33 @@ class TestConvexity:
         assert convexity_gap_on_segment(
             case14_model, case14_stats, a, b, steps=50
         ) <= 1e-8
+
+
+@pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+def test_kl_nonnegative_near_full_cancellation(case, request):
+    # tr(M) and log|I + M| cancel as phi -> -1; the core must not go negative.
+    model = request.getfixturevalue(f"{case}_model")
+    ev = ObjectiveEvaluator(model, request.getfixturevalue(f"{case}_stats"))
+    rng = np.random.default_rng(8)
+    for eps in 10.0 ** -np.arange(3, 13):
+        for _ in range(50):
+            phi = -1.0 + eps * rng.uniform(-1.0, 1.0, model.l)
+            assert ev.objective(phi) >= 0.0
+            assert ev.metrics(phi)[0] >= 0.0
+
+
+@pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+def test_metrics_match_m_level_routes(case, request):
+    model = request.getfixturevalue(f"{case}_model")
+    stats = request.getfixturevalue(f"{case}_stats")
+    ev = ObjectiveEvaluator(model, stats)
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        phi = rng.uniform(-3.0, 3.0, model.l)
+        t = ev.attack_cov(phi)
+        kl, mi = ev.metrics(phi)
+        assert kl == pytest.approx(
+            kl_divergence(stats.sigma_yy_inv, t), rel=1e-10, abs=1e-12)
+        assert mi == pytest.approx(
+            mutual_information(stats.cov_signal, t, stats.sigma2), rel=1e-10)
+        assert ev.objective(phi) == 2.0 * kl

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack_engine import delta_from_state_cov, IncompletenessSpec
-from .degradation_opt import greedy_maximize, ObjectiveEvaluator
+from .degradation_opt import ObjectiveEvaluator
 from .errors import UnreachableAlphaError, ValidationError
 from .regime_analysis import classify_delta, classify_uniform_ratio, RegimeLabel
 
@@ -127,23 +127,26 @@ def sample_bounds(seed, trial, support, target_alpha, l):
     return _sample_bounds_from(trial_rng(seed, trial), support, target_alpha, l)
 
 
-def _run_trial(ev, spec, trial):
-    result = greedy_maximize(ev.model, ev.stats, spec, evaluator=ev)
-    kl, mi = ev.metrics(result.phi_star)
+def _run_trials(ev, specs):
+    """Greedy vertices of the (trial id, spec) pairs, scored in lockstep."""
+    phis = ev.greedy(np.array([spec.phi_min for _, spec in specs]),
+                     np.array([spec.phi_max for _, spec in specs]))
     kl_opt, mi_opt = ev.baseline()
-    delta = delta_from_state_cov(ev.W, result.phi_star)
-    alpha = float(np.linalg.norm(spec.phi_max - spec.phi_min))
-    return TrialRecord(
-        trial_id=trial,
-        alpha=alpha,
-        k=spec.k,
-        kl=kl,
-        mi=mi,
-        kl_opt=kl_opt,
-        mi_opt=mi_opt,
-        regime=classify_delta(delta),
-        phi_star_digest=vertex_digest(result.phi_star),
-    )
+    records = []
+    for (trial, spec), phi in zip(specs, phis):
+        kl, mi = ev.metrics(phi)
+        records.append(TrialRecord(
+            trial_id=trial,
+            alpha=float(np.linalg.norm(spec.phi_max - spec.phi_min)),
+            k=spec.k,
+            kl=kl,
+            mi=mi,
+            kl_opt=kl_opt,
+            mi_opt=mi_opt,
+            regime=classify_delta(delta_from_state_cov(ev.W, phi)),
+            phi_star_digest=vertex_digest(phi),
+        ))
+    return records
 
 
 def alpha_montecarlo(model, stats, alphas, trials, seed):
@@ -157,10 +160,10 @@ def alpha_montecarlo(model, stats, alphas, trials, seed):
     support = tuple(range(model.l))
     records = []
     for alpha in sorted(alphas):
-        for trial in range(trials):
-            lo, hi = sample_bounds(seed, trial, support, alpha, model.l)
-            spec = IncompletenessSpec.from_bounds(support, lo, hi)
-            records.append(_run_trial(ev, spec, trial))
+        specs = [(trial, IncompletenessSpec.from_bounds(
+                     support, *sample_bounds(seed, trial, support, alpha, model.l)))
+                 for trial in range(trials)]
+        records.extend(_run_trials(ev, specs))
     return records
 
 
@@ -177,6 +180,7 @@ def k_sweep(model, stats, ks, trials, seed, target_alpha=1.0):
     for k in sorted(ks):
         if not 1 <= k <= model.l:
             raise ValidationError(f"k={k} outside 1..{model.l}")
+        specs = []
         for trial in range(trials):
             rng = trial_rng(seed, trial)
             if k == model.l:
@@ -185,8 +189,8 @@ def k_sweep(model, stats, ks, trials, seed, target_alpha=1.0):
                 support = tuple(int(i) for i in np.sort(
                     rng.choice(model.l, size=k, replace=False)))
             lo, hi = _sample_bounds_from(rng, support, target_alpha, model.l)
-            spec = IncompletenessSpec.from_bounds(support, lo, hi)
-            records.append(_run_trial(ev, spec, trial))
+            specs.append((trial, IncompletenessSpec.from_bounds(support, lo, hi)))
+        records.extend(_run_trials(ev, specs))
     return records
 
 

@@ -21,7 +21,6 @@ symmetrized m x m inner matrices.  Attacks built from a ratio vector
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .degradation_opt import ObjectiveEvaluator
 from .errors import DomainError, NotPSDError, SingularityError
@@ -92,11 +91,12 @@ def mutual_information(cov_signal, cov_attack, sigma2):
     u_half = sym_sqrt(cov_signal)
     m = u_half.shape[0]
     noisy = cov_attack + sigma2 * np.eye(m)
+    noisy = (noisy + noisy.T) / 2.0
     try:
-        cho = scipy.linalg.cho_factor((noisy + noisy.T) / 2.0)
-    except scipy.linalg.LinAlgError as exc:
+        np.linalg.cholesky(noisy)
+        inner = u_half @ np.linalg.solve(noisy, u_half)
+    except np.linalg.LinAlgError as exc:
         raise SingularityError(f"sigma2 I + T not PD: {exc}") from None
-    inner = u_half @ scipy.linalg.cho_solve(cho, u_half)
     lam = _checked_eigvals(inner, "mutual information inner matrix")
     return 0.5 * float(np.sum(np.log1p(lam)))
 

@@ -8,7 +8,6 @@ ratio in dB via  SNR = 10 log10( tr(H Sigma_xx H^T) / (m sigma^2) ).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DomainError, SingularityError
 
@@ -38,7 +37,8 @@ def toeplitz_cov(n, rho):
     """Toeplitz state covariance with entries rho^|i-j|."""
     if not 0.0 <= rho < 1.0:
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    return scipy.linalg.toeplitz(rho ** np.arange(n))
+    idx = np.arange(n)
+    return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
 
 
 def noise_variance(cov_signal, m, snr_db):
@@ -61,22 +61,36 @@ def _sym(mat):
     return (mat + mat.T) / 2.0
 
 
+def _tril_inv(low):
+    """Inverse of a lower-triangular matrix by 2 x 2 block recursion."""
+    n = low.shape[0]
+    if n <= 64:
+        return np.linalg.inv(low)
+    h = n // 2
+    top, bottom = _tril_inv(low[:h, :h]), _tril_inv(low[h:, h:])
+    inv = np.zeros_like(low)
+    inv[:h, :h] = top
+    inv[h:, h:] = bottom
+    inv[h:, :h] = -(bottom @ low[h:, :h]) @ top
+    return inv
+
+
 def build_scenario(model, rho, snr_db):
     """Assemble the :class:`ScenarioStats` for a grid model.
 
     All symmetric matrices are explicitly symmetrized before factorization
-    to kill roundoff drift; the inverse of sigma_yy is computed once via a
-    Cholesky factorization and cached here for reuse.
+    to kill roundoff drift; the inverse of sigma_yy is computed once from
+    its Cholesky factor L, as L^-T L^-1, and cached here for reuse.
     """
     sigma_xx = toeplitz_cov(model.n, rho)
     cov_signal = _sym(model.H @ sigma_xx @ model.H.T)
     sigma2 = noise_variance(cov_signal, model.m, snr_db)
     sigma_yy = _sym(cov_signal + sigma2 * np.eye(model.m))
     try:
-        cho = scipy.linalg.cho_factor(sigma_yy)
-        sigma_yy_inv = _sym(scipy.linalg.cho_solve(cho, np.eye(model.m)))
-    except scipy.linalg.LinAlgError as exc:
+        chol_inv = _tril_inv(np.linalg.cholesky(sigma_yy))
+    except np.linalg.LinAlgError as exc:
         raise SingularityError(f"measurement covariance not PD: {exc}") from None
+    sigma_yy_inv = _sym(chol_inv.T @ chol_inv)
     return ScenarioStats(
         sigma_xx=sigma_xx,
         sigma2=sigma2,

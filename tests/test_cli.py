@@ -205,3 +205,16 @@ def test_overflowing_ratio_is_three(tmp_path, capsys):
     with np.errstate(over="ignore"):
         assert main(["evaluate", *SCENARIO, "--spec", str(spec)]) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["greedy", "oracle"])
+def test_maximize_non_finite_score_is_three(oracle, tmp_path, capsys):
+    # The 1e200 bound overflows its greedy score; every candidate's score is
+    # checked, not only the chosen one's.
+    bounds = tmp_path / "bounds.csv"
+    bounds.write_text("branch_index,phi_min,phi_max\n1,-0.5,0.5\n2,0,1e200\n3,-0.5,0.5\n")
+    argv = ["maximize", *SCENARIO, "--bounds", str(bounds), *oracle,
+            "--out", str(tmp_path / "sol.csv")]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv) == 3
+    assert "numerical error" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 
 from stealthdeg import (
     DomainError,
+    SingularityError,
     build_scenario,
     noise_variance,
     snr_from_variance,
@@ -91,3 +92,18 @@ def test_snr_inversion_matches_build(case9_model, case9_stats):
         case9_stats.cov_signal, case9_model.m, case9_stats.sigma2
     )
     assert recovered == pytest.approx(30.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+def test_sigma_yy_inverse(case, request):
+    # case30 (m = 111) exercises the block recursion of the triangular inverse.
+    stats = request.getfixturevalue(f"{case}_stats")
+    eye = np.eye(stats.sigma_yy.shape[0])
+    assert np.array_equal(stats.sigma_yy_inv, stats.sigma_yy_inv.T)
+    assert np.abs(stats.sigma_yy_inv @ stats.sigma_yy - eye).max() <= 1e-9
+
+
+def test_noise_below_roundoff_is_singular(case9_model):
+    # sigma2 vanishes next to the rank-n signal covariance (m > n).
+    with pytest.raises(SingularityError):
+        build_scenario(case9_model, 0.5, 300.0)

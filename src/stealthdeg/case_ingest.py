@@ -3,10 +3,12 @@
 Only the pieces the DC model needs are read: the ``mpc.baseMVA`` scalar and
 the ``mpc.bus`` / ``mpc.branch`` matrix blocks.  ``gen``, ``gencost``,
 ``mpc.version``, function headers and ``%`` comments are skipped.  Consumed
-branch columns are fbus, tbus, x and status; tap ratios and shunt elements
-are deliberately ignored (pure series-susceptance DC model).
+branch columns are fbus, tbus, x and status, and bus columns id and type;
+each must be a finite number.  Tap ratios and shunt elements are
+deliberately ignored (pure series-susceptance DC model).
 """
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -45,8 +47,8 @@ class GridCase:
     reference_bus: int
 
     def __post_init__(self):
-        if self.base_mva <= 0:
-            raise ValidationError(f"baseMVA must be positive, got {self.base_mva}")
+        if not 0 < self.base_mva < math.inf:
+            raise ValidationError(f"baseMVA must be positive and finite, got {self.base_mva}")
         if len(self.buses) < 2:
             raise ValidationError(f"need at least 2 buses, got {len(self.buses)}")
         if len(set(self.buses)) != len(self.buses):
@@ -83,11 +85,21 @@ def _strip_comment(line):
     return line if cut < 0 else line[:cut]
 
 
-def _parse_row(tokens, lineno, block):
+def _parse_row(tokens, lineno, block, columns):
+    """The consumed ``columns`` of one matrix row, each a finite number."""
     try:
-        return [float(t) for t in tokens]
+        values = [float(t) for t in tokens]
     except ValueError as exc:
         raise CaseSyntaxError(f"bad number in {block} row: {exc}", lineno) from None
+    width = columns[-1] + 1
+    if len(values) < width:
+        raise CaseSyntaxError(
+            f"{block} row needs at least {width} columns, got {len(values)}", lineno
+        )
+    picked = [values[c] for c in columns]
+    if not all(math.isfinite(v) for v in picked):
+        raise CaseSyntaxError(f"non-finite number in {block} row", lineno)
+    return picked
 
 
 def _scan_blocks(text):
@@ -173,12 +185,7 @@ def parse_case(text):
 
     buses, reference = [], None
     for tokens, lineno in bus_rows:
-        values = _parse_row(tokens, lineno, "bus")
-        if len(values) < 2:
-            raise CaseSyntaxError(
-                f"bus row needs at least 2 columns, got {len(values)}", lineno
-            )
-        bus_id, bus_type = int(values[0]), int(values[1])
+        bus_id, bus_type = (int(v) for v in _parse_row(tokens, lineno, "bus", (0, 1)))
         buses.append(bus_id)
         if bus_type == 3 and reference is None:
             reference = bus_id
@@ -187,18 +194,13 @@ def parse_case(text):
 
     branches = []
     for tokens, lineno in branch_rows:
-        values = _parse_row(tokens, lineno, "branch")
-        if len(values) < 11:
-            raise CaseSyntaxError(
-                f"branch row needs at least 11 columns, got {len(values)}",
-                lineno,
-            )
+        from_bus, to_bus, x, status = _parse_row(tokens, lineno, "branch", (0, 1, 3, 10))
         branches.append(
             BranchRecord(
-                from_bus=int(values[0]),
-                to_bus=int(values[1]),
-                reactance_x=values[3],
-                status=values[10] != 0,
+                from_bus=int(from_bus),
+                to_bus=int(to_bus),
+                reactance_x=x,
+                status=status != 0,
             )
         )
 

@@ -9,6 +9,7 @@ Note for values starting with a dash (negative numbers, ranges like
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -185,7 +186,7 @@ def _run_maximize(args):
     spec = _read_spec(args.bounds, model.l)
     if args.oracle:
         result, _ = degradation_opt.maximize_with_oracle(
-            model, stats, spec, cap=args.cap
+            model, stats, spec, cap=args.cap, refine=args.refine
         )
     else:
         result = degradation_opt.greedy_maximize(
@@ -306,10 +307,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argument parser, built once per process and reused by every call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

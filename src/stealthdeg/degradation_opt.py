@@ -63,11 +63,13 @@ def _finite(values, context):
 
 
 def _logdet_pd(mat, context):
-    """log|mat| of a positive-definite matrix from its Cholesky pivots."""
-    logdet = 2.0 * float(np.log(np.diagonal(np.linalg.cholesky(mat))).sum())
-    if not np.isfinite(logdet):
+    """log|mat| of a positive-definite matrix, or of a stack of them, from
+    Cholesky pivots."""
+    pivots = np.diagonal(np.linalg.cholesky(mat), axis1=-2, axis2=-1)
+    logdet = 2.0 * np.log(pivots).sum(axis=-1)
+    if not np.isfinite(logdet).all():
         raise SingularityError(f"{context} has a non-finite log-determinant")
-    return logdet
+    return logdet[()]
 
 
 class ObjectiveEvaluator:
@@ -140,15 +142,25 @@ class ObjectiveEvaluator:
         return self._objective_at_zero
 
     def metrics(self, phi):
-        """(kl, mi) of the attack built from phi."""
-        c = (1.0 + phi)[:, None] * self._F
+        """(kl, mi) of the attack built from phi.
+
+        ``phi`` may be one ratio vector or a stack (..., l); a stack gives
+        arrays of kl and mi.  P^T P is assembled block by block in one
+        (..., 2n, 2n) buffer, then scaled and shifted by I in place.
+        """
+        phi = np.asarray(phi, dtype=float)
+        n = self.model.n
+        c = (1.0 + phi)[..., :, None] * self._F
         q = self._JtJ @ c
-        ktk = c.T @ q
-        cross = q.T @ self._F
-        ptp = np.block([[ktk, cross], [cross.T, self._JF_gram]])
-        s2 = self.stats.sigma2
-        mi = 0.5 * (_logdet_pd(np.eye(2 * self.model.n) + ptp / s2, "I + P^T P")
-                    - _logdet_pd(self._eye + ktk / s2, "I + K^T K"))
+        ptp = np.empty(phi.shape[:-1] + (2 * n, 2 * n))
+        np.matmul(np.swapaxes(c, -1, -2), q, out=ptp[..., :n, :n])
+        np.matmul(np.swapaxes(q, -1, -2), self._F, out=ptp[..., :n, n:])
+        ptp[..., n:, :n] = np.swapaxes(ptp[..., :n, n:], -1, -2)
+        ptp[..., n:, n:] = self._JF_gram
+        ptp /= self.stats.sigma2
+        ktk = self._eye + ptp[..., :n, :n]
+        np.einsum("...ii->...i", ptp)[...] += 1.0
+        mi = 0.5 * (_logdet_pd(ptp, "I + P^T P") - _logdet_pd(ktk, "I + K^T K"))
         return self._kl(c), mi
 
     def baseline(self):
@@ -248,7 +260,9 @@ def vertex_profiles(spec, cap=ENUMERATION_CAP):
 
     Coordinates whose bounds coincide are pinned and contribute no factor
     of two.  Enumeration order is deterministic: the last free index varies
-    fastest, with its lower bound first.
+    fastest, with its lower bound first.  Vertex j sets free index f to its
+    upper bound when bit (k - 1 - f) of j is set; vertices are built a chunk
+    at a time from those bits and yielded row by row.
     """
     free = [i for i in spec.support if spec.phi_min[i] != spec.phi_max[i]]
     if len(free) > cap:
@@ -256,13 +270,16 @@ def vertex_profiles(spec, cap=ENUMERATION_CAP):
             f"{len(free)} free coordinates exceed the enumeration cap {cap}"
         )
     base = np.zeros(spec.l)
-    for i in spec.support:
-        base[i] = spec.phi_min[i]
-    for choice in itertools.product((0, 1), repeat=len(free)):
-        phi = base.copy()
-        for j, bit in zip(free, choice):
-            phi[j] = spec.phi_max[j] if bit else spec.phi_min[j]
-        yield phi
+    support = list(spec.support)
+    base[support] = spec.phi_min[support]
+    shifts = np.arange(len(free))[::-1]
+    low, high = spec.phi_min[free], spec.phi_max[free]
+    count = 1 << len(free)
+    for start in range(0, count, _VERTEX_CHUNK):
+        index = np.arange(start, min(start + _VERTEX_CHUNK, count))
+        chunk = np.repeat(base[None], len(index), axis=0)
+        chunk[:, free] = np.where((index[:, None] >> shifts) & 1, high, low)
+        yield from chunk
 
 
 def _flags_for(spec, phi):
@@ -318,10 +335,14 @@ def exhaustive_maximize(model, stats, spec, *, cap=ENUMERATION_CAP, evaluator=No
     return _result(ev, spec, best_phi)
 
 
-def maximize_with_oracle(model, stats, spec, *, cap=ENUMERATION_CAP, evaluator=None):
-    """Greedy result annotated with its measured gap to the exhaustive optimum."""
+def maximize_with_oracle(model, stats, spec, *, cap=ENUMERATION_CAP, refine=False,
+                         evaluator=None):
+    """Greedy result annotated with its measured gap to the exhaustive optimum.
+
+    ``refine`` is passed to :func:`greedy_maximize`.
+    """
     ev = evaluator or ObjectiveEvaluator(model, stats)
-    greedy = greedy_maximize(model, stats, spec, evaluator=ev)
+    greedy = greedy_maximize(model, stats, spec, refine=refine, evaluator=ev)
     exact = exhaustive_maximize(model, stats, spec, cap=cap, evaluator=ev)
     if exact.objective <= 0.0:
         gap = 0.0

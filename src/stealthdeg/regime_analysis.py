@@ -43,8 +43,19 @@ def classify_delta(delta, tol_scale=CLASSIFY_TOL_SCALE):
 
     PSD and NSD are decided against a scale-relative tolerance; passing
     both tests (the zero matrix) is the BOUNDARY case.
+
+    Diagonal entries are Rayleigh quotients, so lambda_min <= min diag and
+    lambda_max >= max diag, and max |lambda| <= ||delta||_F bounds the
+    tolerance.  Diagonal entries of both signs beyond twice that bound
+    certify INDEFINITE without an eigendecomposition; the factor 2 leaves
+    room for the eigensolver's own rounding, so the label cannot differ.
     """
-    w = np.linalg.eigvalsh((delta + delta.T) / 2.0)
+    sym = (delta + delta.T) / 2.0
+    diag = np.diagonal(sym)
+    bound = 2.0 * tol_scale * max(1.0, float(np.linalg.norm(sym)))
+    if diag.min() < -bound and diag.max() > bound:
+        return RegimeLabel.INDEFINITE
+    w = np.linalg.eigvalsh(sym)
     tol = tol_scale * max(1.0, float(np.abs(w).max()))
     psd = w[0] >= -tol
     nsd = w[-1] <= tol

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stealthdeg
 from stealthdeg import NotPSDError
+from stealthdeg.case_ingest import bundled_case_text
 from stealthdeg.cli import main, parse_float_list, parse_int_list, parse_range
 from stealthdeg.errors import ValidationError
+from stealthdeg.experiment_harness import sample_bounds
 
 BOUNDS_CSV = "branch_index,phi_min,phi_max\n" + "".join(
     f"{i},-1,1\n" for i in range(1, 10)
@@ -218,3 +225,63 @@ def test_maximize_non_finite_score_is_three(oracle, tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(argv) == 3
     assert "numerical error" in capsys.readouterr().err
+
+
+def _bounds_csv(path, lo, hi):
+    path.write_text("branch_index,phi_min,phi_max\n" + "".join(
+        f"{i + 1},{lo[i]:.17g},{hi[i]:.17g}\n" for i in range(len(lo))))
+
+
+@pytest.mark.parametrize("command", ["maximize", "mtd-plan"])
+def test_oracle_keeps_refine(command, tmp_path, capsys):
+    # Draw 0 of seed 0 at alpha = 1: refining moves the greedy vertex.
+    bounds = tmp_path / "bounds.csv"
+    _bounds_csv(bounds, *sample_bounds(0, 0, tuple(range(9)), 1.0, 9))
+    printed = {}
+    for flags in ([], ["--refine"], ["--oracle", "--refine"]):
+        out = tmp_path / f"out{''.join(flags)}.csv"
+        assert main([command, *SCENARIO, "--bounds", str(bounds), *flags,
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed[tuple(flags)] = (lines[0], out.read_bytes())
+    assert printed[("--oracle", "--refine")] == printed[("--refine",)]
+    assert printed[()][0] != printed[("--refine",)][0]
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["dump-model", "evaluate"])
+def test_non_finite_reactance_is_two(value, command, tmp_path, capsys):
+    case = tmp_path / "case.m"
+    case.write_text(bundled_case_text("case9").replace("\t0.0576\t", f"\t{value}\t", 1))
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n1,0.5\n")
+    extra = {"dump-model": ["--out-dir", str(tmp_path)],
+             "evaluate": ["--rho", "0.5", "--snr-db", "30", "--spec", str(spec)]}
+    assert main([command, "--case", str(case), *extra[command]]) == 2
+    assert "non-finite number in branch row" in capsys.readouterr().err
+
+
+def test_parser_reuse_matches_fresh_processes(tmp_path, bounds_file, capsys):
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n1,0.5\n2,-0.25\n")
+    out = tmp_path / "sol.csv"
+    calls = [
+        ["maximize", *SCENARIO, "--bounds", bounds_file, "--oracle", "--out", str(out)],
+        ["maximize", *SCENARIO, "--bounds", bounds_file, "--out", str(out)],
+        ["maximize", "--case", "case9", "--rho", "0.5", "--out", str(out)],
+        ["evaluate", *SCENARIO, "--spec", str(spec)],
+    ]
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err, out.read_text()))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stealthdeg.__file__)))
+    fresh = []
+    for argv in calls:
+        run = subprocess.run([sys.executable, "-m", "stealthdeg.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        fresh.append((run.returncode, run.stdout, run.stderr, out.read_text()))
+    assert [c[0] for c in in_process] == [0, 0, 1, 0]
+    assert "oracle_gap" not in in_process[1][1]
+    assert in_process == fresh

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from stealthdeg import (
     vertex_profiles,
 )
 from stealthdeg.degradation_opt import VertexChoice, convexity_gap_on_segment
+from stealthdeg.experiment_harness import sample_bounds
 
 
 def bounds_spec(l, support, lo, hi):
@@ -232,3 +235,67 @@ def test_metrics_match_m_level_routes(case, request):
         assert mi == pytest.approx(
             mutual_information(stats.cov_signal, t, stats.sigma2), rel=1e-10)
         assert ev.objective(phi) == 2.0 * kl
+
+
+@pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+def test_stacked_metrics_match_single_vectors(case, request):
+    model = request.getfixturevalue(f"{case}_model")
+    ev = ObjectiveEvaluator(model, request.getfixturevalue(f"{case}_stats"))
+    rng = np.random.default_rng(10)
+    for size in (1, 8, 37):
+        phis = rng.uniform(-2.0, 2.0, (size, model.l))
+        kls, mis = ev.metrics(phis)
+        assert kls.shape == mis.shape == (size,)
+        for phi, kl, mi in zip(phis, kls, mis):
+            one_kl, one_mi = ev.metrics(phi)
+            assert kl == pytest.approx(one_kl, rel=1e-12)
+            assert mi == pytest.approx(one_mi, rel=1e-12)
+    kls, mis = ev.metrics(phis[:36].reshape(4, 9, model.l))
+    assert kls.shape == mis.shape == (4, 9)
+
+
+def product_vertices(spec):
+    """Reference enumeration: one itertools.product choice per vertex."""
+    free = [i for i in spec.support if spec.phi_min[i] != spec.phi_max[i]]
+    base = np.zeros(spec.l)
+    for i in spec.support:
+        base[i] = spec.phi_min[i]
+    for choice in itertools.product((0, 1), repeat=len(free)):
+        phi = base.copy()
+        for j, bit in zip(free, choice):
+            phi[j] = spec.phi_max[j] if bit else spec.phi_min[j]
+        yield phi
+
+
+@pytest.mark.parametrize("k", [1, 9, 10])
+def test_vertex_profiles_match_product_order(k):
+    # Two pinned coordinates (one at zero) and one branch off the support;
+    # 2^9 and 2^10 vertices cross the 256-row chunk boundary.
+    rng = np.random.default_rng(k)
+    l = k + 3
+    support = tuple(int(i) for i in np.sort(rng.choice(l, size=k + 2, replace=False)))
+    pairs = np.sort(rng.uniform(-1.0, 1.0, (k + 2, 2)), axis=1)
+    pairs[0] = (0.0, 0.0)
+    pairs[-1, 1] = pairs[-1, 0]
+    spec = bounds_spec(l, support, pairs[:, 0], pairs[:, 1])
+    got = np.array(list(vertex_profiles(spec)))
+    expected = np.array(list(product_vertices(spec)))
+    assert got.shape == (2 ** k, l)
+    assert np.array_equal(got, expected)
+
+
+def test_refined_gap_never_exceeds_greedy_gap(case9_model, case9_stats):
+    # Each re-sweep step keeps the better of two bounds, one of them the
+    # current one, so refining cannot lose objective beyond the greedy
+    # kernel's relative tie tolerance of 1e-12.
+    ev = ObjectiveEvaluator(case9_model, case9_stats)
+    support = tuple(range(case9_model.l))
+    for trial in range(50):
+        lo, hi = sample_bounds(0, trial, support, 1.0, case9_model.l)
+        spec = IncompletenessSpec.from_bounds(support, lo, hi)
+        greedy, exact = maximize_with_oracle(case9_model, case9_stats, spec, evaluator=ev)
+        refined, _ = maximize_with_oracle(case9_model, case9_stats, spec, refine=True,
+                                          evaluator=ev)
+        assert refined.objective >= greedy.objective * (1.0 - 1e-11)
+        assert refined.oracle_gap <= greedy.oracle_gap + 1e-11
+        assert refined.objective <= exact.objective * (1.0 + 1e-12)

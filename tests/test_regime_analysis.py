@@ -192,3 +192,70 @@ class TestSoundness:
             mi = mutual_information(case14_stats.cov_signal, t, case14_stats.sigma2)
             assert kl <= kl_opt + 1e-9
             assert mi >= mi_opt - 1e-9
+
+
+def eigvalsh_label(delta, tol_scale=1e-9):
+    """Reference labelling: always through the full eigendecomposition."""
+    w = np.linalg.eigvalsh((delta + delta.T) / 2.0)
+    tol = tol_scale * max(1.0, float(np.abs(w).max()))
+    psd, nsd = w[0] >= -tol, w[-1] <= tol
+    if psd and nsd:
+        return RegimeLabel.BOUNDARY
+    if psd:
+        return LESS
+    if nsd:
+        return MORE
+    return RegimeLabel.INDEFINITE
+
+
+def labelling_suite(seed):
+    """Symmetric matrices across every label, scale and near-tolerance case."""
+    rng = np.random.default_rng(seed)
+    mats = [np.zeros((5, 5))]
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for size in (1, 2, 5, 12):
+            x = rng.standard_normal((size, size))
+            sym = scale * (x + x.T)
+            low_rank = rng.standard_normal((size, max(1, size // 2)))
+            psd = scale * low_rank @ low_rank.T
+            mats += [sym, psd, -psd]
+            # Diagonal entries right at and around the tolerance.
+            for edge in (0.5e-9, 1e-9, 1.9e-9, 2e-9, 2.1e-9, 4e-9):
+                for sign in (-1.0, 1.0):
+                    tweak = np.zeros(size)
+                    tweak[rng.integers(size)] = sign * edge * max(1.0, scale)
+                    mats += [psd + np.diag(tweak), -psd + np.diag(tweak)]
+                    dominant = np.diag(rng.choice([-1.0, 1.0], size) * scale)
+                    dominant[0, 0] = sign * edge * max(1.0, scale)
+                    mats.append(dominant)
+    return mats
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classify_matches_eigvalsh_oracle(seed):
+    labels = set()
+    for mat in labelling_suite(seed):
+        expected = eigvalsh_label(mat)
+        assert classify_delta(mat) is expected
+        labels.add(expected)
+    assert labels == set(RegimeLabel)
+
+
+def test_classify_matches_oracle_on_case_deltas(case30_model, case30_stats):
+    w = state_edge_cov(case30_model, case30_stats.sigma_xx)
+    rng = np.random.default_rng(5)
+    for scale in (1e-8, 1e-4, 0.1, 1.0, 3.0):
+        for _ in range(20):
+            phi = scale * rng.uniform(-1.0, 1.0, case30_model.l)
+            delta = np.diag(phi) @ w + w @ np.diag(phi) + np.diag(phi) @ w @ np.diag(phi)
+            assert classify_delta(delta) is eigvalsh_label(delta)
+
+
+def test_indefinite_diagonal_skips_eigendecomposition(monkeypatch):
+    def no_eig(_):
+        raise AssertionError("eigvalsh called on a certified matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eig)
+    assert classify_delta(np.diag([1.0, -1.0, 0.0])) is RegimeLabel.INDEFINITE
+    with pytest.raises(AssertionError):
+        classify_delta(np.diag([1.0, 1e-12]))

@@ -8,20 +8,15 @@ the incompleteness profile that maximally degrades attack stealth.
 """
 
 from .attack_engine import (
-    AttackArtifacts,
     IncompletenessSpec,
-    attack_covariances,
     delta_matrix,
-    equivalence_residual,
     mtd_admittance,
     perturbed_admittance,
-    perturbed_jacobian,
 )
 from .case_ingest import BranchRecord, GridCase, load_case, parse_case
 from .degradation_opt import (
     ObjectiveEvaluator,
     OptimizationResult,
-    detectability_objective,
     exhaustive_maximize,
     greedy_maximize,
     maximize_with_oracle,
@@ -57,18 +52,13 @@ from .grid_model import (
 from .info_metrics import (
     MetricsPoint,
     evaluate,
-    integrity_cost,
-    kl_divergence,
-    mutual_information,
     optimal_metrics,
-    sym_sqrt,
 )
 from .regime_analysis import (
     RegimeLabel,
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
-    interaction_eig_bounds,
 )
 from .stochastics import (
     ScenarioStats,

@@ -1,4 +1,4 @@
-"""Attack covariances under incomplete admittance information.
+"""Incompleteness specs, the delta perturbation and moving-target plans.
 
 The attacker's admittance error on branch i is expressed as the ratio
 phi_i = (b'_i - b_i) / b_i, so the believed susceptance is (1 + phi_i) b_i.
@@ -8,8 +8,8 @@ perturbation
     delta = Phi W + W Phi^T + Phi W Phi^T,      W = A sigma_xx A^T,
 
 with Phi = diag(phi): the suboptimal attack covariance equals the optimal
-one plus J diag(b) delta diag(b) J^T.  ``equivalence_residual`` measures how
-well that identity holds numerically.
+one plus J diag(b) delta diag(b) J^T.  The regime labels read delta; the
+metrics never form the m x m attack covariance.
 """
 
 import csv
@@ -100,28 +100,6 @@ class IncompletenessSpec:
         return cls.from_phi(np.full(l, float(beta)))
 
 
-@dataclass(frozen=True, eq=False)
-class AttackArtifacts:
-    """Matrices derived from one incompleteness spec.
-
-    attacker_admittance: the believed susceptances (1 + phi) b.
-    attacker_jacobian: Jacobian built from the believed susceptances.
-    delta: the equivalent l x l perturbation of W = A sigma_xx A^T.
-    cov_optimal: attack covariance under complete information, H sigma_xx H^T.
-    cov_incomplete: attack covariance actually deployed, H' sigma_xx H'^T.
-    cov_attacked_meas: covariance of the attacked measurements.
-    cov_via_delta: cov_incomplete rebuilt through the delta route.
-    """
-
-    attacker_admittance: np.ndarray
-    attacker_jacobian: np.ndarray
-    delta: np.ndarray
-    cov_optimal: np.ndarray
-    cov_incomplete: np.ndarray
-    cov_attacked_meas: np.ndarray
-    cov_via_delta: np.ndarray
-
-
 @dataclass(frozen=True)
 class MtdAdjustment:
     """Operator-side admittance targets plus the ratios that hit the 0 case."""
@@ -133,12 +111,6 @@ class MtdAdjustment:
 def perturbed_admittance(b, spec):
     """Believed susceptances: (1 + phi_i) b_i on support, b_i elsewhere."""
     return (1.0 + spec.phi) * np.asarray(b, dtype=float)
-
-
-def perturbed_jacobian(model, spec):
-    """Jacobian the attacker would assemble, J diag((1 + phi) b) A."""
-    b_prime = perturbed_admittance(model.b, spec)
-    return model.J @ (b_prime[:, None] * model.A)
 
 
 def state_edge_cov(model, sigma_xx):
@@ -157,61 +129,6 @@ def delta_from_state_cov(W, phi):
     # outer(phi, phi) * W keeps the quadratic term bitwise symmetric.
     pw = phi[:, None] * W
     return pw + pw.T + np.outer(phi, phi) * W
-
-
-def delta_matrix_hadamard(model, sigma_xx, spec):
-    """Cross-check oracle: delta as a Hadamard product with W.
-
-    Uses the rank-structured factor phi phi^T + phi 1^T + 1 phi^T applied
-    entrywise to W; must agree with :func:`delta_matrix` to roundoff.
-    """
-    W = state_edge_cov(model, sigma_xx)
-    phi = spec.phi
-    ones = np.ones_like(phi)
-    factor = np.outer(phi, phi) + np.outer(phi, ones) + np.outer(ones, phi)
-    return factor * W
-
-
-def covariance_from_delta(model, sigma_xx, delta):
-    """Attack covariance J diag(b) (W + delta) diag(b) J^T for any delta.
-
-    Accepts arbitrary symmetric perturbations, not only those produced by a
-    ratio vector; the regime results extend to this generalized form.
-    """
-    W = state_edge_cov(model, sigma_xx)
-    JD = model.J * model.b
-    return JD @ (W + delta) @ JD.T
-
-
-def attack_covariances(model, stats, spec):
-    """All attack-side matrices for one spec, bundled as artifacts."""
-    b_prime = perturbed_admittance(model.b, spec)
-    h_prime = model.J @ (b_prime[:, None] * model.A)
-    delta = delta_matrix(model, stats.sigma_xx, spec)
-    cov_incomplete = h_prime @ stats.sigma_xx @ h_prime.T
-    cov_incomplete = (cov_incomplete + cov_incomplete.T) / 2.0
-    return AttackArtifacts(
-        attacker_admittance=b_prime,
-        attacker_jacobian=h_prime,
-        delta=delta,
-        cov_optimal=stats.cov_signal,
-        cov_incomplete=cov_incomplete,
-        cov_attacked_meas=stats.sigma_yy + cov_incomplete,
-        cov_via_delta=covariance_from_delta(model, stats.sigma_xx, delta),
-    )
-
-
-def equivalence_residual(artifacts, model):
-    """Relative Frobenius residual of the delta-route identity.
-
-    || cov_incomplete - cov_optimal - J diag(b) delta diag(b) J^T ||_F
-    over max(1, ||cov_optimal||_F); approximately zero iff the admittance
-    incompleteness is exactly equivalent to the delta perturbation.
-    """
-    JD = model.J * model.b
-    via_delta = artifacts.cov_optimal + JD @ artifacts.delta @ JD.T
-    num = np.linalg.norm(artifacts.cov_incomplete - via_delta)
-    return float(num / max(1.0, np.linalg.norm(artifacts.cov_optimal)))
 
 
 def mtd_admittance(b_prime, spec):

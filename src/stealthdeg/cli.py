@@ -41,8 +41,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Largest number of points ``parse_range`` builds; a longer grid is rejected
+# before any point is made.
+RANGE_POINT_CAP = 100_000
+
+
 def parse_range(text):
-    """Inclusive start:end:step grid, endpoint kept within half a step."""
+    """Inclusive start:end:step grid, endpoint kept within half a step.
+
+    At most :data:`RANGE_POINT_CAP` points.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValidationError(f"range must be start:end:step, got {text!r}")
@@ -52,8 +60,11 @@ def parse_range(text):
         raise ValidationError(f"non-numeric range component in {text!r}") from None
     if not np.isfinite([start, end, step]).all() or step <= 0 or end < start:
         raise ValidationError(f"need finite end >= start and step > 0 in {text!r}")
-    count = int(np.floor((end - start) / step + 0.5))
-    return [start + i * step for i in range(count + 1)]
+    points = np.floor((end - start) / step + 0.5) + 1.0
+    if not points <= RANGE_POINT_CAP:
+        raise ValidationError(
+            f"range {text!r} has {points:g} points, more than {RANGE_POINT_CAP}")
+    return [start + i * step for i in range(int(points))]
 
 
 def parse_float_list(text):

@@ -79,10 +79,11 @@ class ObjectiveEvaluator:
     T(phi) = J C C^T J^T with C = diag(1 + phi) F, F = diag(b) A L and
     sigma_xx = L L^T.  Sylvester's identity then gives, on n x n matrices,
 
-        2 kl = tr(M) - log|I + M|,   M = C^T (J^T S J) C,
+        2 kl = tr(M) - log|I + M|,   M = C^T G C,   G = J^T S J,
         2 mi = log|I + P^T P / sigma2| - log|I + K^T K / sigma2|,
 
-    with K = J C and P = [K, J F]; the objective is 2 kl.  Log-determinants
+    with K = J C and P = [K, J F]; the objective is 2 kl.  F and G are read
+    from :class:`~stealthdeg.stochastics.ScenarioStats`.  Log-determinants
     come from Cholesky pivots of matrices no smaller than I.  W is kept for
     the delta route of :meth:`attack_cov` and for regime labels.
 
@@ -98,9 +99,7 @@ class ObjectiveEvaluator:
         self.model = model
         self.stats = stats
         self.W = state_edge_cov(model, stats.sigma_xx)
-        self._F = model.b[:, None] * (model.A @ np.linalg.cholesky(stats.sigma_xx))
-        gram = model.J.T @ stats.sigma_yy_inv @ model.J
-        self._G = (gram + gram.T) / 2.0
+        self._F, self._G = stats.F, stats.G
         self._JtJ = model.J.T @ model.J
         self._JF_gram = self._F.T @ self._JtJ @ self._F
         self._eye = np.eye(model.n)
@@ -158,10 +157,12 @@ class ObjectiveEvaluator:
         ptp[..., n:, :n] = np.swapaxes(ptp[..., :n, n:], -1, -2)
         ptp[..., n:, n:] = self._JF_gram
         ptp /= self.stats.sigma2
-        ktk = self._eye + ptp[..., :n, :n]
         np.einsum("...ii->...i", ptp)[...] += 1.0
-        mi = 0.5 * (_logdet_pd(ptp, "I + P^T P") - _logdet_pd(ktk, "I + K^T K"))
-        return self._kl(c), mi
+        # The leading n pivots of I + P^T P are those of I + K^T K, so mi is
+        # the sum of the logs of the trailing n.
+        pivots = np.diagonal(np.linalg.cholesky(ptp), axis1=-2, axis2=-1)
+        mi = np.log(_finite(pivots, "a pivot of I + P^T P")[..., n:]).sum(axis=-1)
+        return self._kl(c), mi[()]
 
     def baseline(self):
         """(kl_opt, mi_opt): metrics of the complete-information attack."""
@@ -248,11 +249,6 @@ class ObjectiveEvaluator:
             if not changed.any():
                 break
         return phi, trace, logdet
-
-
-def detectability_objective(model, stats, phi):
-    """Objective value at one ratio vector (fresh, uncached evaluation)."""
-    return ObjectiveEvaluator(model, stats).objective(np.asarray(phi, dtype=float))
 
 
 def vertex_profiles(spec, cap=ENUMERATION_CAP):
@@ -349,23 +345,3 @@ def maximize_with_oracle(model, stats, spec, *, cap=ENUMERATION_CAP, refine=Fals
     else:
         gap = 1.0 - greedy.objective / exact.objective
     return replace(greedy, oracle_gap=gap), exact
-
-
-def convexity_gap_on_segment(model, stats, phi_a, phi_b, steps=50, *, evaluator=None):
-    """Max violation of convexity sampled along a segment of ratio vectors.
-
-    Returns max over theta of f(mix) - (theta f(a) + (1-theta) f(b)); a
-    convex objective keeps this below numerical tolerance.
-    """
-    ev = evaluator or ObjectiveEvaluator(model, stats)
-    phi_a = np.asarray(phi_a, dtype=float)
-    phi_b = np.asarray(phi_b, dtype=float)
-    f_a = ev.objective(phi_a)
-    f_b = ev.objective(phi_b)
-    worst = -np.inf
-    for step in range(steps + 1):
-        theta = step / steps
-        mixed = theta * phi_a + (1.0 - theta) * phi_b
-        violation = ev.objective(mixed) - (theta * f_a + (1.0 - theta) * f_b)
-        worst = max(worst, violation)
-    return float(worst)

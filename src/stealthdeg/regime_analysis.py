@@ -102,21 +102,3 @@ def classify_uniform_ratio(beta):
     if c > 0.0:
         return RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE
     return RegimeLabel.MORE_STEALTHY_LESS_DESTRUCTIVE
-
-
-def ratio_interaction_matrix(phi):
-    """The rank-structured factor phi phi^T + phi 1^T + 1 phi^T."""
-    phi = np.asarray(phi, dtype=float)
-    ones = np.ones_like(phi)
-    return np.outer(phi, phi) + np.outer(phi, ones) + np.outer(ones, phi)
-
-
-def interaction_eig_bounds(phi):
-    """Closed-form (upper-on-max, lower-on-min) eigenvalue bounds.
-
-    The rank-2 part phi 1^T + 1 phi^T has eigenvalues
-    phi^T 1 +- sqrt(phi^T phi * l); adding the rank-1 part phi phi^T (single
-    nonzero eigenvalue phi^T phi >= 0) shifts only the upper bound.
-    """
-    conditions = definiteness_conditions(phi)
-    return conditions.lhs_nsd, conditions.lhs_psd

@@ -1,0 +1,246 @@
+"""Reference routes the tests check the library against.
+
+The library computes the objective, KL and MI on one reduced n x n core
+(:class:`stealthdeg.ObjectiveEvaluator`) built from the scenario's F and G.
+The routes here compute the same quantities another way, on the m x m
+measurement covariances of :class:`stealthdeg.ScenarioStats` or through the
+delta perturbation, so the paper's identities can be checked between them.
+Nothing in the package imports this module.
+
+For a zero-mean attack with covariance T against measurements with
+covariance sigma_yy and precision S = sigma_yy^-1:
+
+    kl = 1/2 ( -log|I + S^1/2 T S^1/2| + tr(S^1/2 T S^1/2) ),
+    mi = 1/2 log|I + U^1/2 (sigma2 I + T)^-1 U^1/2|,   U = H sigma_xx H^T.
+
+``kl_divergence`` and ``mutual_information`` accept any PSD attack
+covariance and take log-determinants from eigenvalues of the symmetrized
+m x m inner matrices.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from stealthdeg import (
+    DomainError,
+    NotPSDError,
+    ObjectiveEvaluator,
+    SingularityError,
+    definiteness_conditions,
+    delta_matrix,
+    perturbed_admittance,
+)
+from stealthdeg.attack_engine import state_edge_cov
+
+# Negative eigenvalues above the error threshold are treated as roundoff and
+# clamped; below it the matrix is genuinely indefinite and surfaced.
+PSD_ERROR_SCALE = 1e-6
+
+
+# -- m x m KL and MI ----------------------------------------------------------
+
+def _checked_eigvals(mat, context):
+    """Eigenvalues of a symmetric matrix, clamped to the PSD cone."""
+    w = np.linalg.eigvalsh((mat + mat.T) / 2.0)
+    scale = max(1.0, float(w[-1]))
+    if w[0] < -PSD_ERROR_SCALE * scale:
+        raise NotPSDError(
+            f"{context}: min eigenvalue {w[0]:.3e} below -{PSD_ERROR_SCALE:g}*scale"
+        )
+    return np.clip(w, 0.0, None)
+
+
+def sym_sqrt(mat):
+    """Symmetric PSD square root via eigendecomposition.
+
+    Small negative eigenvalues (roundoff) are clamped to zero before
+    rooting; genuinely indefinite input raises :class:`NotPSDError`.
+    """
+    mat = np.asarray(mat, dtype=float)
+    asym = np.abs(mat - mat.T).max() if mat.size else 0.0
+    if asym > 1e-10 * max(1.0, np.abs(mat).max()):
+        raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
+    sym = (mat + mat.T) / 2.0
+    w, v = np.linalg.eigh(sym)
+    scale = max(1.0, float(w[-1]))
+    if w[0] < -PSD_ERROR_SCALE * scale:
+        raise NotPSDError(
+            f"min eigenvalue {w[0]:.3e} below -{PSD_ERROR_SCALE:g}*scale"
+        )
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
+    return (root + root.T) / 2.0
+
+
+def kl_divergence(precision, cov_attack):
+    """Divergence between attacked and clean measurement distributions.
+
+    ``precision`` is the inverse clean-measurement covariance.
+    """
+    s_half = sym_sqrt(precision)
+    inner = s_half @ cov_attack @ s_half
+    lam = _checked_eigvals(inner, "kl divergence inner matrix")
+    kl = 0.5 * float(np.sum(lam - np.log1p(lam)))
+    return 0.0 if -1e-12 <= kl < 0.0 else kl
+
+
+def mutual_information(cov_signal, cov_attack, sigma2):
+    """Information the operator obtains from attacked measurements."""
+    if sigma2 <= 0.0:
+        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+    u_half = sym_sqrt(cov_signal)
+    m = u_half.shape[0]
+    noisy = cov_attack + sigma2 * np.eye(m)
+    noisy = (noisy + noisy.T) / 2.0
+    try:
+        np.linalg.cholesky(noisy)
+        inner = u_half @ np.linalg.solve(noisy, u_half)
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(f"sigma2 I + T not PD: {exc}") from None
+    lam = _checked_eigvals(inner, "mutual information inner matrix")
+    return 0.5 * float(np.sum(np.log1p(lam)))
+
+
+def integrity_cost(cov_attack, stats):
+    """Attacker's objective: information leakage plus detectability.
+
+    Convex in the attack covariance with minimum at cov_signal, the optimal
+    complete-information attack.
+    """
+    return (
+        mutual_information(stats.cov_signal, cov_attack, stats.sigma2)
+        + kl_divergence(stats.sigma_yy_inv, cov_attack)
+    )
+
+
+# -- the delta route ----------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class AttackArtifacts:
+    """Matrices derived from one incompleteness spec.
+
+    attacker_admittance: the believed susceptances (1 + phi) b.
+    attacker_jacobian: Jacobian built from the believed susceptances.
+    delta: the equivalent l x l perturbation of W = A sigma_xx A^T.
+    cov_optimal: attack covariance under complete information, H sigma_xx H^T.
+    cov_incomplete: attack covariance actually deployed, H' sigma_xx H'^T.
+    cov_attacked_meas: covariance of the attacked measurements.
+    cov_via_delta: cov_incomplete rebuilt through the delta route.
+    """
+
+    attacker_admittance: np.ndarray
+    attacker_jacobian: np.ndarray
+    delta: np.ndarray
+    cov_optimal: np.ndarray
+    cov_incomplete: np.ndarray
+    cov_attacked_meas: np.ndarray
+    cov_via_delta: np.ndarray
+
+
+def perturbed_jacobian(model, spec):
+    """Jacobian the attacker would assemble, J diag((1 + phi) b) A."""
+    b_prime = perturbed_admittance(model.b, spec)
+    return model.J @ (b_prime[:, None] * model.A)
+
+
+def delta_matrix_hadamard(model, sigma_xx, spec):
+    """Cross-check oracle: delta as a Hadamard product with W.
+
+    Uses the rank-structured factor phi phi^T + phi 1^T + 1 phi^T applied
+    entrywise to W; must agree with :func:`stealthdeg.delta_matrix` to
+    roundoff.
+    """
+    W = state_edge_cov(model, sigma_xx)
+    phi = spec.phi
+    ones = np.ones_like(phi)
+    factor = np.outer(phi, phi) + np.outer(phi, ones) + np.outer(ones, phi)
+    return factor * W
+
+
+def covariance_from_delta(model, sigma_xx, delta):
+    """Attack covariance J diag(b) (W + delta) diag(b) J^T for any delta.
+
+    Accepts arbitrary symmetric perturbations, not only those produced by a
+    ratio vector; the regime results extend to this generalized form.
+    """
+    W = state_edge_cov(model, sigma_xx)
+    JD = model.J * model.b
+    return JD @ (W + delta) @ JD.T
+
+
+def attack_covariances(model, stats, spec):
+    """All attack-side matrices for one spec, bundled as artifacts."""
+    b_prime = perturbed_admittance(model.b, spec)
+    h_prime = model.J @ (b_prime[:, None] * model.A)
+    delta = delta_matrix(model, stats.sigma_xx, spec)
+    cov_incomplete = h_prime @ stats.sigma_xx @ h_prime.T
+    cov_incomplete = (cov_incomplete + cov_incomplete.T) / 2.0
+    return AttackArtifacts(
+        attacker_admittance=b_prime,
+        attacker_jacobian=h_prime,
+        delta=delta,
+        cov_optimal=stats.cov_signal,
+        cov_incomplete=cov_incomplete,
+        cov_attacked_meas=stats.sigma_yy + cov_incomplete,
+        cov_via_delta=covariance_from_delta(model, stats.sigma_xx, delta),
+    )
+
+
+def equivalence_residual(artifacts, model):
+    """Relative Frobenius residual of the delta-route identity.
+
+    || cov_incomplete - cov_optimal - J diag(b) delta diag(b) J^T ||_F
+    over max(1, ||cov_optimal||_F); approximately zero iff the admittance
+    incompleteness is exactly equivalent to the delta perturbation.
+    """
+    JD = model.J * model.b
+    via_delta = artifacts.cov_optimal + JD @ artifacts.delta @ JD.T
+    num = np.linalg.norm(artifacts.cov_incomplete - via_delta)
+    return float(num / max(1.0, np.linalg.norm(artifacts.cov_optimal)))
+
+
+# -- regime bounds ------------------------------------------------------------
+
+def ratio_interaction_matrix(phi):
+    """The rank-structured factor phi phi^T + phi 1^T + 1 phi^T."""
+    phi = np.asarray(phi, dtype=float)
+    ones = np.ones_like(phi)
+    return np.outer(phi, phi) + np.outer(phi, ones) + np.outer(ones, phi)
+
+
+def interaction_eig_bounds(phi):
+    """Closed-form (upper-on-max, lower-on-min) eigenvalue bounds.
+
+    The rank-2 part phi 1^T + 1 phi^T has eigenvalues
+    phi^T 1 +- sqrt(phi^T phi * l); adding the rank-1 part phi phi^T (single
+    nonzero eigenvalue phi^T phi >= 0) shifts only the upper bound.
+    """
+    conditions = definiteness_conditions(phi)
+    return conditions.lhs_nsd, conditions.lhs_psd
+
+
+# -- objective ----------------------------------------------------------------
+
+def detectability_objective(model, stats, phi):
+    """Objective value at one ratio vector (fresh, uncached evaluation)."""
+    return ObjectiveEvaluator(model, stats).objective(np.asarray(phi, dtype=float))
+
+
+def convexity_gap_on_segment(model, stats, phi_a, phi_b, steps=50, *, evaluator=None):
+    """Max violation of convexity sampled along a segment of ratio vectors.
+
+    Returns max over theta of f(mix) - (theta f(a) + (1-theta) f(b)); a
+    convex objective keeps this below numerical tolerance.
+    """
+    ev = evaluator or ObjectiveEvaluator(model, stats)
+    phi_a = np.asarray(phi_a, dtype=float)
+    phi_b = np.asarray(phi_b, dtype=float)
+    f_a = ev.objective(phi_a)
+    f_b = ev.objective(phi_b)
+    worst = -np.inf
+    for step in range(steps + 1):
+        theta = step / steps
+        mixed = theta * phi_a + (1.0 - theta) * phi_b
+        violation = ev.objective(mixed) - (theta * f_a + (1.0 - theta) * f_b)
+        worst = max(worst, violation)
+    return float(worst)

@@ -15,27 +15,20 @@ import pytest
 from stealthdeg import (
     IncompletenessSpec,
     ObjectiveEvaluator,
-    attack_covariances,
     build_model,
     build_scenario,
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
     delta_matrix,
-    equivalence_residual,
     evaluate,
-    integrity_cost,
-    interaction_eig_bounds,
-    kl_divergence,
     load_case,
     maximize_with_oracle,
-    mutual_information,
     optimal_metrics,
     sample_bounds,
 )
-from stealthdeg.attack_engine import covariance_from_delta, state_edge_cov
+from stealthdeg.attack_engine import state_edge_cov
 from stealthdeg.cli import parse_range
-from stealthdeg.degradation_opt import convexity_gap_on_segment
 from stealthdeg.experiment_harness import (
     alpha_montecarlo,
     beta_sweep,
@@ -47,6 +40,17 @@ from stealthdeg.experiment_harness import (
     write_k_csv,
 )
 from stealthdeg.regime_analysis import RegimeLabel
+
+from oracles import (
+    attack_covariances,
+    convexity_gap_on_segment,
+    covariance_from_delta,
+    equivalence_residual,
+    integrity_cost,
+    interaction_eig_bounds,
+    kl_divergence,
+    mutual_information,
+)
 
 LESS = RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE
 MORE = RegimeLabel.MORE_STEALTHY_LESS_DESTRUCTIVE
@@ -220,7 +224,7 @@ def test_criterion_04_regime_soundness(case14_model, case14_stats):
 
 def test_criterion_05_sufficient_condition_suite(case9_model, case9_stats):
     with criterion(5, "sufficient conditions and eig bounds"):
-        from stealthdeg.regime_analysis import ratio_interaction_matrix
+        from oracles import ratio_interaction_matrix
 
         rng = np.random.default_rng(RNG_SEED_DRAWS + 3)
         l = case9_model.l

@@ -6,19 +6,22 @@ import pytest
 from stealthdeg import (
     IncompletenessSpec,
     ValidationError,
-    attack_covariances,
     delta_matrix,
-    equivalence_residual,
     mtd_admittance,
     perturbed_admittance,
-    perturbed_jacobian,
 )
 from stealthdeg.attack_engine import (
-    covariance_from_delta,
-    delta_matrix_hadamard,
     read_spec_csv,
     state_edge_cov,
     write_spec_csv,
+)
+
+from oracles import (
+    attack_covariances,
+    covariance_from_delta,
+    delta_matrix_hadamard,
+    equivalence_residual,
+    perturbed_jacobian,
 )
 
 

@@ -8,7 +8,13 @@ import pytest
 import stealthdeg
 from stealthdeg import NotPSDError
 from stealthdeg.case_ingest import bundled_case_text
-from stealthdeg.cli import main, parse_float_list, parse_int_list, parse_range
+from stealthdeg.cli import (
+    RANGE_POINT_CAP,
+    main,
+    parse_float_list,
+    parse_int_list,
+    parse_range,
+)
 from stealthdeg.errors import ValidationError
 from stealthdeg.experiment_harness import sample_bounds
 
@@ -285,3 +291,32 @@ def test_parser_reuse_matches_fresh_processes(tmp_path, bounds_file, capsys):
     assert [c[0] for c in in_process] == [0, 0, 1, 0]
     assert "oracle_gap" not in in_process[1][1]
     assert in_process == fresh
+
+
+@pytest.mark.parametrize("snr_db", ["3100", "-3100", "-3300"])
+def test_extreme_snr_is_two_without_traceback(snr_db, tmp_path):
+    # 10^(snr/10) overflows at 3100 dB, is subnormal at -3100 dB and
+    # underflows to zero at -3300 dB.
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n1,0.5\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stealthdeg.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "stealthdeg.cli", "evaluate", "--case", "case9",
+         "--rho", "0.5", f"--snr-db={snr_db}", "--spec", str(spec)],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ")
+    assert "Traceback" not in run.stderr
+
+
+def test_range_point_cap(tmp_path, capsys):
+    # About 1e24 points: rejected from the count alone, nothing is built.
+    with pytest.raises(ValidationError, match="more than"):
+        parse_range("0:1e12:1e-12")
+    assert len(parse_range(f"1:{RANGE_POINT_CAP}:1")) == RANGE_POINT_CAP
+    with pytest.raises(ValidationError):
+        parse_range(f"0:{RANGE_POINT_CAP}:1")
+    assert main(["sweep-beta", *SCENARIO, "--beta=0:1e12:1e-12",
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert "more than" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

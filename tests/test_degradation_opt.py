@@ -7,17 +7,21 @@ from stealthdeg import (
     CapExceededError,
     IncompletenessSpec,
     ObjectiveEvaluator,
-    detectability_objective,
     exhaustive_maximize,
     greedy_maximize,
-    kl_divergence,
     maximize_with_oracle,
-    mutual_information,
     optimal_metrics,
     vertex_profiles,
 )
-from stealthdeg.degradation_opt import VertexChoice, convexity_gap_on_segment
+from stealthdeg.degradation_opt import VertexChoice
 from stealthdeg.experiment_harness import sample_bounds
+
+from oracles import (
+    convexity_gap_on_segment,
+    detectability_objective,
+    kl_divergence,
+    mutual_information,
+)
 
 
 def bounds_spec(l, support, lo, hi):

@@ -5,12 +5,10 @@ from stealthdeg import (
     IncompletenessSpec,
     NotPSDError,
     evaluate,
-    integrity_cost,
-    kl_divergence,
-    mutual_information,
     optimal_metrics,
-    sym_sqrt,
 )
+
+from oracles import integrity_cost, kl_divergence, mutual_information, sym_sqrt
 
 
 def random_psd(rng, n, scale=1.0):
@@ -215,7 +213,7 @@ class TestEvaluate:
 
     def test_permutation_invariance(self, case9_model, case9_stats):
         spec = IncompletenessSpec.uniform(case9_model.l, 0.4)
-        from stealthdeg import attack_covariances
+        from oracles import attack_covariances
 
         art = attack_covariances(case9_model, case9_stats, spec)
         t = art.cov_via_delta

@@ -9,12 +9,17 @@ from stealthdeg import (
     definiteness_conditions,
     delta_matrix,
     evaluate,
-    interaction_eig_bounds,
     optimal_metrics,
 )
-from stealthdeg.attack_engine import covariance_from_delta, state_edge_cov
-from stealthdeg.info_metrics import kl_divergence, mutual_information
-from stealthdeg.regime_analysis import ratio_interaction_matrix
+from stealthdeg.attack_engine import state_edge_cov
+
+from oracles import (
+    covariance_from_delta,
+    interaction_eig_bounds,
+    kl_divergence,
+    mutual_information,
+    ratio_interaction_matrix,
+)
 
 LESS = RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE
 MORE = RegimeLabel.MORE_STEALTHY_LESS_DESTRUCTIVE

@@ -1,11 +1,23 @@
+import mpmath
 import numpy as np
 import pytest
 
 from stealthdeg import (
     DomainError,
+    IncompletenessSpec,
+    ObjectiveEvaluator,
     SingularityError,
+    ValidationError,
+    alpha_montecarlo,
+    beta_sweep,
     build_scenario,
+    classify_delta,
+    delta_matrix,
+    evaluate,
+    k_sweep,
+    maximize_with_oracle,
     noise_variance,
+    sample_bounds,
     snr_from_variance,
     toeplitz_cov,
 )
@@ -107,3 +119,78 @@ def test_noise_below_roundoff_is_singular(case9_model):
     # sigma2 vanishes next to the rank-n signal covariance (m > n).
     with pytest.raises(SingularityError):
         build_scenario(case9_model, 0.5, 300.0)
+
+
+@pytest.mark.parametrize("snr_db", [3100.0, -3100.0, -3300.0, 1e300, -1e300])
+def test_extreme_snr_is_a_validation_error(snr_db, case9_model):
+    # The SNR factor overflows, is subnormal or underflows to zero.
+    cov = np.diag([4.0, 1.0, 7.0])
+    with pytest.raises(ValidationError):
+        noise_variance(cov, 3, snr_db)
+    with pytest.raises(ValidationError):
+        build_scenario(case9_model, 0.5, snr_db)
+
+
+def test_noise_variance_subnormal_is_a_validation_error():
+    # A normal SNR factor can still give a subnormal or infinite variance.
+    with pytest.raises(ValidationError):
+        noise_variance(np.diag([1e-300, 1e-300]), 2, 100.0)
+    with pytest.raises(ValidationError):
+        noise_variance(np.diag([1e300, 1e300]), 2, -100.0)
+
+
+@pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+def test_singularity_threshold(case, request):
+    # sigma2 <= eps ||R||_2^2 starts between 141 and 147 dB on these cases.
+    model = request.getfixturevalue(f"{case}_model")
+    stats = build_scenario(model, 0.5, 140.0)
+    assert np.isfinite(stats.G).all()
+    with pytest.raises(SingularityError):
+        build_scenario(model, 0.5, 147.0)
+
+
+def _mp_matrix(arr):
+    return mpmath.matrix(np.asarray(arr, dtype=float).tolist())
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0, 70.0, 90.0])
+def test_G_and_objective_match_mpmath(snr_db, case9_model):
+    # 60-digit oracle of G = J^T (H sigma_xx H^T + sigma2 I)^-1 J and of
+    # f(phi) = tr M - log|I + M|, M = C^T G C, C = diag((1 + phi) b) A L.
+    # At 90 dB an m x m inverse of sigma_yy errs by about 1e-7 in G.
+    model = case9_model
+    stats = build_scenario(model, 0.5, snr_db)
+    with mpmath.workdps(60):
+        sigma_xx = _mp_matrix(stats.sigma_xx)
+        H, J = _mp_matrix(model.H), _mp_matrix(model.J)
+        sigma_yy = H * sigma_xx * H.T + mpmath.mpf(stats.sigma2) * mpmath.eye(model.m)
+        G = J.T * mpmath.inverse(sigma_yy) * J
+        G_ref = np.array(G.tolist(), dtype=float)
+        err = np.abs(stats.G - G_ref).max() / np.abs(G_ref).max()
+        assert err <= 1e-14
+
+        F = _mp_matrix(model.b[:, None] * model.A) * mpmath.cholesky(sigma_xx)
+        ev = ObjectiveEvaluator(model, stats)
+        rng = np.random.default_rng(6)
+        for phi in rng.uniform(-1.0, 1.0, size=(3, model.l)):
+            C = mpmath.diag(_mp_matrix(1.0 + phi)) * F
+            M = C.T * G * C
+            ref = (sum(M[i, i] for i in range(model.n))
+                   - mpmath.log(mpmath.det(mpmath.eye(model.n) + M)))
+            assert abs(ev.objective(phi) - float(ref)) <= 1e-13 * float(ref)
+
+
+def test_library_paths_never_build_m_by_m(case30_model):
+    model = case30_model
+    stats = build_scenario(model, 0.5, 30.0)
+    evaluate(model, stats, IncompletenessSpec.uniform(model.l, 0.3))
+    beta_sweep(model, stats, [-0.5, 0.0, 0.5])
+    alpha_montecarlo(model, stats, [0.5, 1.0], 4, 0)
+    k_sweep(model, stats, [3, model.l], 4, 0)
+    support = tuple(range(6))
+    lo, hi = sample_bounds(0, 0, support, 1.0, model.l)
+    greedy, exact = maximize_with_oracle(
+        model, stats, IncompletenessSpec.from_bounds(support, lo, hi))
+    for phi in (greedy.phi_star, exact.phi_star):
+        classify_delta(delta_matrix(model, stats.sigma_xx, IncompletenessSpec.from_phi(phi)))
+    assert not {"cov_signal", "sigma_yy", "sigma_yy_inv"} & set(vars(stats))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attack_engine import delta_from_state_cov, state_edge_cov
+from .attack_engine import state_edge_cov
 from .errors import CapExceededError, SingularityError
 
 ENUMERATION_CAP = 20
@@ -85,7 +85,7 @@ class ObjectiveEvaluator:
     with K = J C and P = [K, J F]; the objective is 2 kl.  F and G are read
     from :class:`~stealthdeg.stochastics.ScenarioStats`.  Log-determinants
     come from Cholesky pivots of matrices no smaller than I.  W is kept for
-    the delta route of :meth:`attack_cov` and for regime labels.
+    regime labels.
 
     Moving 1 + phi_i by e changes C by e e_i r^T with r = F[i], hence M by
     the symmetric rank-2 term  e (r u^T + u r^T) + e^2 G_ii r r^T  with
@@ -106,11 +106,6 @@ class ObjectiveEvaluator:
         self._baseline = None
         self._objective_at_zero = None
         self._origin = None
-
-    def attack_cov(self, phi):
-        """Attack covariance T(phi) through the delta route (m x m)."""
-        jd = self.model.J * self.model.b
-        return jd @ (self.W + delta_from_state_cov(self.W, phi)) @ jd.T
 
     def _kl(self, c):
         """kl for C, or for a stack of them (..., l, n).

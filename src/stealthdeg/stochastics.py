@@ -6,7 +6,7 @@ ratio in dB via  SNR = 10 log10( tr(H Sigma_xx H^T) / (m sigma^2) ).
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -22,8 +22,16 @@ class ScenarioStats:
     sigma2: measurement-noise variance.
     F: l x n factor diag(b) A L with sigma_xx = L L^T, so that the signal
         covariance H sigma_xx H^T is (J F)(J F)^T.
-    G: l x l matrix J^T sigma_yy^-1 J, built without any m x m matrix.
+    G: l x l matrix J^T sigma_yy^-1 J, built without any m x m matrix on
+        first access (the uniform sweep never reads it).
     H: the model's m x n Jacobian.
+    signal_eigs: the n eigenvalues of (J F)^T (J F) = R^T R in ascending
+        order, i.e. the n largest eigenvalues of the signal covariance.  R R^T is PSD
+        by construction, so negative eigenvalues are roundoff and are
+        clamped at 0.  With mu = signal_eigs / sigma2, the eigenvalues of
+        F^T G F are mu / (1 + mu), which gives the uniform family
+        phi = beta * ones in closed form (see
+        :func:`~stealthdeg.experiment_harness.beta_sweep`).
 
     With J F = Q R (thin QR) and J_perp = J - Q Q^T J, the measurement
     covariance sigma_yy = Q R R^T Q^T + sigma2 I inverts on range(Q) and its
@@ -47,10 +55,20 @@ class ScenarioStats:
     sigma_xx: np.ndarray
     sigma2: float
     F: np.ndarray
-    G: np.ndarray
     H: np.ndarray
+    signal_eigs: np.ndarray
     rho: float
     snr_db: float
+    # (J, Q, R R^T) of the QR split, from which G is built.
+    _split: tuple = field(repr=False)
+
+    @cached_property
+    def G(self):
+        J, Q, RRt = self._split
+        QtJ = Q.T @ J
+        J_perp = J - Q @ QtJ
+        Y = np.linalg.solve(np.linalg.cholesky(RRt + self.sigma2 * np.eye(len(RRt))), QtJ)
+        return J_perp.T @ J_perp / self.sigma2 + Y.T @ Y
 
     @cached_property
     def cov_signal(self):
@@ -114,7 +132,9 @@ def snr_from_variance(cov_signal, m, sigma2):
 
 
 def build_scenario(model, rho, snr_db):
-    """Assemble the :class:`ScenarioStats` for a grid model in O(m n^2 + m l^2).
+    """Assemble the :class:`ScenarioStats` for a grid model in O(m n^2).
+
+    Its G costs O(m l^2) more, on first access.
 
     See :class:`ScenarioStats` for the QR split of G and the singularity
     criterion.
@@ -125,18 +145,17 @@ def build_scenario(model, rho, snr_db):
     sigma2 = _noise_from_power(np.vdot(JF, JF), model.m, snr_db)
     Q, R = np.linalg.qr(JF)
     RRt = R @ R.T
-    if sigma2 <= np.finfo(float).eps * np.linalg.eigvalsh(RRt)[-1]:
+    signal_eigs = np.maximum(np.linalg.eigvalsh(RRt), 0.0)
+    if sigma2 <= np.finfo(float).eps * signal_eigs[-1]:
         raise SingularityError(
             f"noise variance {sigma2:.3e} is below roundoff of the signal at {snr_db} dB")
-    QtJ = Q.T @ model.J
-    J_perp = model.J - Q @ QtJ
-    Y = np.linalg.solve(np.linalg.cholesky(RRt + sigma2 * np.eye(model.n)), QtJ)
     return ScenarioStats(
         sigma_xx=sigma_xx,
         sigma2=sigma2,
         F=F,
-        G=J_perp.T @ J_perp / sigma2 + Y.T @ Y,
         H=model.H,
+        signal_eigs=signal_eigs,
         rho=rho,
         snr_db=snr_db,
+        _split=(model.J, Q, RRt),
     )

@@ -31,7 +31,7 @@ from stealthdeg import (
     delta_matrix,
     perturbed_admittance,
 )
-from stealthdeg.attack_engine import state_edge_cov
+from stealthdeg.attack_engine import delta_from_state_cov, state_edge_cov
 
 # Negative eigenvalues above the error threshold are treated as roundoff and
 # clamped; below it the matrix is genuinely indefinite and surfaced.
@@ -166,6 +166,13 @@ def covariance_from_delta(model, sigma_xx, delta):
     W = state_edge_cov(model, sigma_xx)
     JD = model.J * model.b
     return JD @ (W + delta) @ JD.T
+
+
+def attack_cov(ev, phi):
+    """Attack covariance T(phi) of an evaluator's scenario through the delta
+    route (m x m)."""
+    jd = ev.model.J * ev.model.b
+    return jd @ (ev.W + delta_from_state_cov(ev.W, phi)) @ jd.T
 
 
 def attack_covariances(model, stats, spec):

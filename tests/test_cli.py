@@ -309,6 +309,24 @@ def test_extreme_snr_is_two_without_traceback(snr_db, tmp_path):
     assert "Traceback" not in run.stderr
 
 
+@pytest.mark.parametrize("beta, code", [("1e160", 3), ("1e100", 0)])
+def test_huge_uniform_ratio_without_traceback(beta, code, tmp_path):
+    # (1 + beta)^2 overflows at 1e160; at 1e100 kl is about 4e200 and finite.
+    out = tmp_path / "sweep.csv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stealthdeg.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "stealthdeg.cli", "sweep-beta", *SCENARIO,
+         f"--beta={beta}:{beta}:1", "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == code
+    assert "Traceback" not in run.stderr
+    if code == 3:
+        assert run.stderr.startswith("numerical error: ")
+    else:
+        row = out.read_text().splitlines()[1].split(",")
+        assert np.isfinite([float(v) for v in row[:3]]).all()
+
+
 def test_range_point_cap(tmp_path, capsys):
     # About 1e24 points: rejected from the count alone, nothing is built.
     with pytest.raises(ValidationError, match="more than"):

@@ -17,6 +17,7 @@ from stealthdeg.degradation_opt import VertexChoice
 from stealthdeg.experiment_harness import sample_bounds
 
 from oracles import (
+    attack_cov,
     convexity_gap_on_segment,
     detectability_objective,
     kl_divergence,
@@ -58,7 +59,7 @@ class TestObjective:
         for _ in range(10):
             phi = rng.uniform(-2, 2, case30_model.l)
             via_kl = 2.0 * kl_divergence(
-                case30_stats.sigma_yy_inv, ev.attack_cov(phi)
+                case30_stats.sigma_yy_inv, attack_cov(ev, phi)
             )
             assert ev.objective(phi) == pytest.approx(via_kl, rel=1e-10, abs=1e-10)
 
@@ -232,7 +233,7 @@ def test_metrics_match_m_level_routes(case, request):
     rng = np.random.default_rng(9)
     for _ in range(20):
         phi = rng.uniform(-3.0, 3.0, model.l)
-        t = ev.attack_cov(phi)
+        t = attack_cov(ev, phi)
         kl, mi = ev.metrics(phi)
         assert kl == pytest.approx(
             kl_divergence(stats.sigma_yy_inv, t), rel=1e-10, abs=1e-12)

@@ -2,17 +2,23 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stealthdeg import (
+    ObjectiveEvaluator,
     UnreachableAlphaError,
     ValidationError,
     alpha_montecarlo,
     beta_sweep,
+    build_model,
+    build_scenario,
     k_sweep,
     optimal_metrics,
     sample_bounds,
 )
+from stealthdeg.case_ingest import BranchRecord, GridCase
 from stealthdeg.experiment_harness import (
+    _BETA_CHUNK,
     fmt17,
     trial_rng,
     vertex_digest,
@@ -112,6 +118,89 @@ class TestBetaSweep:
         for earlier, later in zip(rows, rows[1:]):
             assert later.kl >= earlier.kl - 1e-9
             assert later.mi <= earlier.mi + 1e-9
+
+
+@pytest.fixture(scope="module")
+def ring200_model():
+    """200-bus ring plus 100 seeded chords (n = 199, l = 300, m = 799)."""
+    rng = np.random.default_rng(3)
+    edges = [(i, i % 200 + 1) for i in range(1, 201)]
+    seen = {frozenset(e) for e in edges}
+    while len(edges) < 300:
+        a, b = (int(v) for v in rng.integers(1, 201, size=2))
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b))
+    branches = tuple(BranchRecord(a, b, float(x), True)
+                     for (a, b), x in zip(edges, rng.uniform(0.02, 0.2, size=300)))
+    return build_model(GridCase(base_mva=100.0, buses=tuple(range(1, 201)),
+                                branches=branches, reference_bus=1))
+
+
+class TestBetaSweepClosedForm:
+    @pytest.mark.parametrize("case", ["case9", "case14", "case30", "ring200"])
+    def test_matches_evaluator_metrics(self, case, request):
+        model = request.getfixturevalue(f"{case}_model")
+        stats = build_scenario(model, 0.5, 30.0)
+        ev = ObjectiveEvaluator(model, stats)
+        betas = [-3.0, -2.2, -1.5, -1.0, -0.6, 0.0, 0.4, 1.0]
+        for row in beta_sweep(model, stats, betas):
+            kl, mi = ev.metrics(np.full(model.l, row.beta))
+            assert row.kl == pytest.approx(kl, rel=1e-10)
+            assert row.mi == pytest.approx(mi, rel=1e-10)
+
+    def test_builds_no_evaluator(self, case9_model, case9_stats, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the uniform sweep must not use the n x n core")
+
+        monkeypatch.setattr(ObjectiveEvaluator, "__init__", refuse)
+        monkeypatch.setattr(ObjectiveEvaluator, "metrics", refuse)
+        rows = beta_sweep(case9_model, case9_stats, [-2.5, -1.0, 0.0, 0.4])
+        assert [r.beta for r in rows] == [-2.5, -1.0, 0.0, 0.4]
+        assert all(np.isfinite([r.kl, r.mi]).all() for r in rows)
+
+    def test_leaves_G_unbuilt(self, case9_model):
+        # G is O(m l^2) of work that only the n x n core reads.
+        stats = build_scenario(case9_model, 0.5, 30.0)
+        assert "G" not in vars(stats)
+        beta_sweep(case9_model, stats, [-2.5, -1.0, 0.4])
+        assert "G" not in vars(stats)
+        assert stats.G is stats.G
+
+    def test_chunked_grid_matches_single_points(self, case14_model, case14_stats):
+        grid = np.linspace(-3.0, 1.0, _BETA_CHUNK + 3)
+        rows = beta_sweep(case14_model, case14_stats, grid)
+        assert rows == [beta_sweep(case14_model, case14_stats, [b])[0] for b in grid]
+
+
+# Deterministic and small, so tier-1 stays reproducible and fast.
+_PROPERTIES = settings(derandomize=True, database=None, max_examples=60, deadline=None)
+
+
+class TestBetaSweepProperties:
+    """Hypothesis properties of the uniform family on case9 at 30 dB.
+
+    The 1e-12 relative slack covers roundoff between the closed form and the
+    Cholesky baseline where kl and mi meet kl_opt and mi_opt.
+    """
+
+    @_PROPERTIES
+    @given(beta=st.floats(-3.0, 1.0))
+    def test_regime_orders_metrics(self, beta, case9_model, case9_stats):
+        kl_opt, mi_opt = optimal_metrics(case9_model, case9_stats)
+        row, = beta_sweep(case9_model, case9_stats, [beta])
+        if row.regime is RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE:
+            assert row.kl >= kl_opt * (1.0 - 1e-12)
+            assert row.mi <= mi_opt * (1.0 + 1e-12)
+        elif row.regime is RegimeLabel.MORE_STEALTHY_LESS_DESTRUCTIVE:
+            assert row.kl <= kl_opt * (1.0 + 1e-12)
+            assert row.mi >= mi_opt * (1.0 - 1e-12)
+
+    @_PROPERTIES
+    @given(beta=st.floats(-3.0, 1.0))
+    def test_kl_symmetric_about_full_cancellation(self, beta, case9_model, case9_stats):
+        row, mirror = beta_sweep(case9_model, case9_stats, [beta, -2.0 - beta])
+        assert abs(row.kl - mirror.kl) <= 1e-12 * max(1.0, row.kl)
 
 
 class TestTrials:

@@ -180,6 +180,55 @@ def test_G_and_objective_match_mpmath(snr_db, case9_model):
             assert abs(ev.objective(phi) - float(ref)) <= 1e-13 * float(ref)
 
 
+def _mp_uniform_metrics(model, stats, betas):
+    """50-digit (kl, mi) of phi = beta * ones, without an eigendecomposition.
+
+    With K = J F the attack covariance is T = s K K^T, s = (1 + beta)^2, and
+    Sylvester's identity turns the m x m definitions into n x n
+    determinants d(c) = |sigma2 I + c K^T K|:
+    2 kl = s tr(K^T K (sigma2 I + K^T K)^-1) - log(d(1 + s) / d(1)),
+    2 mi = log(d(1 + s) / d(s)).
+    """
+    with mpmath.workdps(50):
+        F = _mp_matrix(model.b[:, None] * model.A) * mpmath.cholesky(_mp_matrix(stats.sigma_xx))
+        K = _mp_matrix(model.J) * F
+        gram = K.T * K
+        noise = mpmath.mpf(stats.sigma2) * mpmath.eye(model.n)
+
+        def logdet(c):
+            return mpmath.log(mpmath.det(noise + c * gram))
+
+        ratio = gram * mpmath.inverse(noise + gram)
+        trace = sum(ratio[i, i] for i in range(model.n))
+        out = []
+        for beta in betas:
+            s = (1 + mpmath.mpf(beta)) ** 2
+            kl = (s * trace - logdet(1 + s) + logdet(1)) / 2
+            mi = (logdet(1 + s) - logdet(s)) / 2
+            out.append((float(kl), float(mi)))
+        return out
+
+
+_MIXED_BETAS = [0.4, -0.7, -2.5]
+# kl ~ s^2 as s = (1 + beta)^2 -> 0, where the Cholesky route errs by 2e-4
+# at beta = -1 + 1e-6; the series branch of x - log1p(x) must not.
+_NEAR_CANCELLATION_BETAS = [-1.0 + sign * 10.0 ** -k for k in range(2, 9) for sign in (1.0, -1.0)]
+
+
+@pytest.mark.parametrize("snr_db, betas", [
+    (30.0, _MIXED_BETAS), (70.0, _MIXED_BETAS), (90.0, _MIXED_BETAS),
+    (30.0, _NEAR_CANCELLATION_BETAS), (90.0, _NEAR_CANCELLATION_BETAS),
+], ids=["30dB", "70dB", "90dB", "30dB-near-minus-one", "90dB-near-minus-one"])
+def test_beta_sweep_matches_mpmath(snr_db, betas, case9_model):
+    # The closed form reads the signal spectrum, so the high-SNR
+    # cancellation of M = F^T G F (1e-10 at 70 dB) does not reach it.
+    stats = build_scenario(case9_model, 0.5, snr_db)
+    for row, (kl, mi) in zip(beta_sweep(case9_model, stats, betas),
+                             _mp_uniform_metrics(case9_model, stats, betas)):
+        assert abs(row.kl - kl) <= 1e-14 * kl
+        assert abs(row.mi - mi) <= 1e-14 * mi
+
+
 def test_library_paths_never_build_m_by_m(case30_model):
     model = case30_model
     stats = build_scenario(model, 0.5, 30.0)

@@ -85,9 +85,13 @@ def _model_for(args):
     return build_model(load_case(args.case))
 
 
+def _check_rho(rho):
+    if not 0.0 <= rho < 1.0:
+        raise ValidationError(f"rho must lie in [0, 1), got {rho}")
+
+
 def _scenario_for(args, model):
-    if not 0.0 <= args.rho < 1.0:
-        raise ValidationError(f"rho must lie in [0, 1), got {args.rho}")
+    _check_rho(args.rho)
     if not np.isfinite(args.snr_db):
         raise ValidationError(f"snr-db must be finite, got {args.snr_db}")
     return build_scenario(model, args.rho, args.snr_db)
@@ -96,6 +100,14 @@ def _scenario_for(args, model):
 def _read_spec(path, l):
     with open(path, "r") as fh:
         return attack_engine.read_spec_csv(fh.read(), l)
+
+
+def _write_rows(writer, rows, path):
+    """Write ``rows`` to ``path`` with one of the harness CSV writers."""
+    with open(path, "w", newline="\n") as fh:
+        writer(rows, fh)
+    print(f"wrote {len(rows)} rows to {path}")
+    return 0
 
 
 def _write_matrix_csv(mat, path):
@@ -117,8 +129,7 @@ def _cmd_dump_model(args):
 
 def _cmd_classify(args):
     model = _model_for(args)
-    if not 0.0 <= args.rho < 1.0:
-        raise ValidationError(f"rho must lie in [0, 1), got {args.rho}")
+    _check_rho(args.rho)
     if (args.spec is None) == (args.beta is None):
         raise ValidationError("classify needs exactly one of --spec or --beta")
     if args.beta is not None:
@@ -156,39 +167,26 @@ def _cmd_sweep_beta(args):
     model = _model_for(args)
     stats = _scenario_for(args, model)
     rows = experiment_harness.beta_sweep(model, stats, parse_range(args.beta))
-    with open(args.out, "w", newline="\n") as fh:
-        experiment_harness.write_beta_csv(rows, fh)
-    print(f"wrote {len(rows)} rows to {args.out}")
-    return 0
+    return _write_rows(experiment_harness.write_beta_csv, rows, args.out)
 
 
 def _cmd_montecarlo_alpha(args):
     model = _model_for(args)
     stats = _scenario_for(args, model)
-    if args.trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {args.trials}")
     records = experiment_harness.alpha_montecarlo(
         model, stats, parse_float_list(args.alphas), args.trials, args.seed
     )
-    with open(args.out, "w", newline="\n") as fh:
-        experiment_harness.write_alpha_csv(records, fh)
-    print(f"wrote {len(records)} rows to {args.out}")
-    return 0
+    return _write_rows(experiment_harness.write_alpha_csv, records, args.out)
 
 
 def _cmd_sweep_k(args):
     model = _model_for(args)
     stats = _scenario_for(args, model)
-    if args.trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {args.trials}")
     records = experiment_harness.k_sweep(
         model, stats, parse_int_list(args.ks), args.trials, args.seed,
         target_alpha=args.alpha,
     )
-    with open(args.out, "w", newline="\n") as fh:
-        experiment_harness.write_k_csv(records, fh)
-    print(f"wrote {len(records)} rows to {args.out}")
-    return 0
+    return _write_rows(experiment_harness.write_k_csv, records, args.out)
 
 
 def _run_maximize(args):

@@ -15,6 +15,9 @@ complete-information point phi = 0), and when it lies above they are
 interpolated linearly toward the full box [-1, 1]^k, whose gap norm
 2 sqrt(k) is the reachable maximum.  Both branches stay inside the unit box
 by construction.
+
+Both Monte-Carlo drivers run one trial loop, which draws each box straight
+into a row of (trials, l) bound arrays and builds no per-trial spec object.
 """
 
 import hashlib
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attack_engine import delta_from_state_cov, IncompletenessSpec
+from .attack_engine import delta_from_state_cov
 from .degradation_opt import _finite, ObjectiveEvaluator
 from .errors import UnreachableAlphaError, ValidationError
 from .regime_analysis import classify_delta, classify_uniform_ratio, RegimeLabel
@@ -55,8 +58,9 @@ def trial_rng(seed, trial):
 
 
 def vertex_digest(phi):
-    """Stable short hash of a chosen vertex."""
-    payload = ",".join(fmt17(v) for v in phi).encode()
+    """Stable short hash of a chosen vertex (its fmt17 cells, comma-joined)."""
+    values = np.asarray(phi, dtype=float).tolist()
+    payload = (",".join(["%.17g"] * len(values)) % tuple(values)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -81,7 +85,6 @@ class TrialRecord:
     mi_opt: float
     regime: RegimeLabel
     phi_star_digest: str
-    oracle_gap: float = None
 
 
 def _x_minus_log1p(x):
@@ -135,8 +138,8 @@ def _sample_bounds_from(rng, support, target_alpha, l):
     k = len(support)
     if k == 0:
         raise UnreachableAlphaError("empty support")
-    if target_alpha < 0.0:
-        raise UnreachableAlphaError(f"negative alpha {target_alpha}")
+    if not target_alpha >= 0.0:
+        raise UnreachableAlphaError(f"alpha must be a number >= 0, got {target_alpha}")
     if target_alpha > 2.0 * np.sqrt(k) + 1e-12:
         raise UnreachableAlphaError(
             f"alpha {target_alpha} exceeds the box maximum {2.0 * np.sqrt(k):g}"
@@ -174,45 +177,56 @@ def sample_bounds(seed, trial, support, target_alpha, l):
     return _sample_bounds_from(trial_rng(seed, trial), support, target_alpha, l)
 
 
-def _run_trials(ev, specs):
-    """Greedy vertices of the (trial id, spec) pairs, scored in lockstep."""
-    phis = ev.greedy(np.array([spec.phi_min for _, spec in specs]),
-                     np.array([spec.phi_max for _, spec in specs]))
+def _run_trials(ev, seed, trials, batches):
+    """Greedy trials 0..trials-1 of each (k, alpha) batch, in batch order.
+
+    Each trial draws its k-subset from the (seed, trial) substream (skipped
+    at k = l, where the draw goes through :func:`sample_bounds`) and then
+    its box, into one row of the batch's (trials, l) bound arrays.
+    """
+    if trials < 1:
+        raise ValidationError(f"trials must be >= 1, got {trials}")
+    l = ev.model.l
+    full = tuple(range(l))
     kl_opt, mi_opt = ev.baseline()
-    kls, mis = np.concatenate([ev.metrics(phis[s:s + _METRICS_STACK])
-                               for s in range(0, len(phis), _METRICS_STACK)], axis=1)
     records = []
-    for (trial, spec), phi, kl, mi in zip(specs, phis, kls, mis):
-        records.append(TrialRecord(
-            trial_id=trial,
-            alpha=float(np.linalg.norm(spec.phi_max - spec.phi_min)),
-            k=spec.k,
-            kl=float(kl),
-            mi=float(mi),
-            kl_opt=kl_opt,
-            mi_opt=mi_opt,
-            regime=classify_delta(delta_from_state_cov(ev.W, phi)),
-            phi_star_digest=vertex_digest(phi),
-        ))
+    for k, alpha in batches:
+        lows = np.empty((trials, l))
+        highs = np.empty((trials, l))
+        for trial in range(trials):
+            if k == l:
+                lows[trial], highs[trial] = sample_bounds(seed, trial, full, alpha, l)
+            else:
+                rng = trial_rng(seed, trial)
+                support = np.sort(rng.choice(l, size=k, replace=False))
+                lows[trial], highs[trial] = _sample_bounds_from(rng, support, alpha, l)
+        phis = ev.greedy(lows, highs)
+        kls, mis = np.concatenate([ev.metrics(phis[s:s + _METRICS_STACK])
+                                   for s in range(0, trials, _METRICS_STACK)], axis=1)
+        for trial, (phi, kl, mi) in enumerate(zip(phis, kls, mis)):
+            records.append(TrialRecord(
+                trial_id=trial,
+                alpha=float(np.linalg.norm(highs[trial] - lows[trial])),
+                k=k,
+                kl=float(kl),
+                mi=float(mi),
+                kl_opt=kl_opt,
+                mi_opt=mi_opt,
+                regime=classify_delta(delta_from_state_cov(ev.W, phi)),
+                phi_star_digest=vertex_digest(phi),
+            ))
     return records
 
 
 def alpha_montecarlo(model, stats, alphas, trials, seed):
     """Greedy degradation trials on the full support per alpha budget.
 
-    Records come back sorted by (alpha, trial_id).  The same (seed, trial)
-    substream underlies every alpha, so budgets share base draws and differ
-    only in the rescaling.
+    The trial loop at k = l, once per budget; records sorted by (alpha,
+    trial_id).  Budgets share the (seed, trial) base draws and differ only
+    in the rescaling.
     """
-    ev = ObjectiveEvaluator(model, stats)
-    support = tuple(range(model.l))
-    records = []
-    for alpha in sorted(alphas):
-        specs = [(trial, IncompletenessSpec.from_bounds(
-                     support, *sample_bounds(seed, trial, support, alpha, model.l)))
-                 for trial in range(trials)]
-        records.extend(_run_trials(ev, specs))
-    return records
+    return _run_trials(ObjectiveEvaluator(model, stats), seed, trials,
+                       [(model.l, alpha) for alpha in sorted(alphas)])
 
 
 def k_sweep(model, stats, ks, trials, seed, target_alpha=1.0):
@@ -223,23 +237,11 @@ def k_sweep(model, stats, ks, trials, seed, target_alpha=1.0):
     full-support sweep reproduces :func:`alpha_montecarlo` trials.  Records
     sorted by (k, trial_id).
     """
-    ev = ObjectiveEvaluator(model, stats)
-    records = []
     for k in sorted(ks):
         if not 1 <= k <= model.l:
             raise ValidationError(f"k={k} outside 1..{model.l}")
-        specs = []
-        for trial in range(trials):
-            rng = trial_rng(seed, trial)
-            if k == model.l:
-                support = tuple(range(model.l))
-            else:
-                support = tuple(int(i) for i in np.sort(
-                    rng.choice(model.l, size=k, replace=False)))
-            lo, hi = _sample_bounds_from(rng, support, target_alpha, model.l)
-            specs.append((trial, IncompletenessSpec.from_bounds(support, lo, hi)))
-        records.extend(_run_trials(ev, specs))
-    return records
+    return _run_trials(ObjectiveEvaluator(model, stats), seed, trials,
+                       [(k, target_alpha) for k in sorted(ks)])
 
 
 def write_beta_csv(rows, fh):
@@ -249,12 +251,12 @@ def write_beta_csv(rows, fh):
 
 
 def write_alpha_csv(records, fh):
+    # The oracle_gap column is kept, always empty: no driver records a gap.
     fh.write("alpha,trial,kl_nats,mi_nats,kl_opt_nats,mi_opt_nats,regime,oracle_gap\n")
     for r in records:
-        gap = "" if r.oracle_gap is None else fmt17(r.oracle_gap)
         fh.write(
             f"{fmt17(r.alpha)},{r.trial_id},{fmt17(r.kl)},{fmt17(r.mi)},"
-            f"{fmt17(r.kl_opt)},{fmt17(r.mi_opt)},{r.regime.value},{gap}\n"
+            f"{fmt17(r.kl_opt)},{fmt17(r.mi_opt)},{r.regime.value},\n"
         )
 
 

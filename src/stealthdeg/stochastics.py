@@ -57,8 +57,6 @@ class ScenarioStats:
     F: np.ndarray
     H: np.ndarray
     signal_eigs: np.ndarray
-    rho: float
-    snr_db: float
     # (J, Q, R R^T) of the QR split, from which G is built.
     _split: tuple = field(repr=False)
 
@@ -155,7 +153,5 @@ def build_scenario(model, rho, snr_db):
         F=F,
         H=model.H,
         signal_eigs=signal_eigs,
-        rho=rho,
-        snr_db=snr_db,
         _split=(model.J, Q, RRt),
     )

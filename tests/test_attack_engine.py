@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stealthdeg import (
     IncompletenessSpec,
@@ -89,6 +90,25 @@ class TestIncompletenessSpec:
         assert np.array_equal(back.phi, spec.phi)
         assert np.array_equal(back.phi_min, spec.phi_min)
         assert np.array_equal(back.phi_max, spec.phi_max)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_csv_round_trip_property(self, data):
+        # Any finite ordered triple per support branch, subnormals and -0
+        # included, comes back bitwise through the 17-digit CSV.
+        l = data.draw(st.integers(1, 12))
+        support = data.draw(st.lists(st.integers(0, l - 1), unique=True, max_size=l))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        phi, lo, hi = np.zeros(l), np.zeros(l), np.zeros(l)
+        for i in support:
+            lo[i], phi[i], hi[i] = sorted(data.draw(st.lists(finite, min_size=3, max_size=3)))
+        spec = IncompletenessSpec(support=tuple(support), phi=phi, phi_min=lo, phi_max=hi)
+        buf = io.StringIO()
+        write_spec_csv(spec, buf)
+        back = read_spec_csv(buf.getvalue(), l)
+        assert back.support == spec.support
+        for name in ("phi", "phi_min", "phi_max"):
+            assert getattr(back, name).tobytes() == getattr(spec, name).tobytes()
 
     def test_csv_bounds_only(self):
         text = "branch_index,phi_min,phi_max\n2,-0.5,0.5\n3,0.1,0.4\n"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stealthdeg import (
     CaseSyntaxError,
@@ -198,3 +199,31 @@ def test_bundled_name_lookup_missing():
         bundled_case_text("case999")
     with pytest.raises(FileNotFoundError, match="case999"):
         load_case("case999")
+
+
+@st.composite
+def grid_cases(draw):
+    """Valid GridCases: bus ids in [1, 2^31), finite reactances, >= 1 in service."""
+    buses = draw(st.lists(st.integers(1, 2 ** 31 - 1), unique=True, min_size=2, max_size=8))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    branches = []
+    for k in range(draw(st.integers(1, 10))):
+        from_bus, to_bus = draw(st.lists(st.sampled_from(buses), unique=True,
+                                         min_size=2, max_size=2))
+        status = k == 0 or draw(st.booleans())
+        x = draw(finite.filter(lambda v: v != 0.0) if status else finite)
+        branches.append(BranchRecord(from_bus, to_bus, x, status))
+    return GridCase(
+        base_mva=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+        buses=tuple(buses),
+        branches=tuple(branches),
+        reference_bus=draw(st.sampled_from(buses)),
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(case=grid_cases())
+def test_render_round_trip_property(case):
+    back = parse_case(render_case(case))
+    assert back == case
+    assert repr(back) == repr(case)  # -0.0 and every float bit survive too

@@ -338,3 +338,25 @@ def test_range_point_cap(tmp_path, capsys):
                  "--out", str(tmp_path / "out.csv")]) == 2
     assert "more than" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("montecarlo-alpha", ["--alphas", "1"]),
+    ("sweep-k", ["--ks", "2"]),
+])
+def test_zero_trials_is_two(command, extra, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([command, *SCENARIO, *extra, "--trials", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep-k", *SCENARIO, "--ks", "2", "--alpha", "nan", "--trials", "2"],
+    ["montecarlo-alpha", *SCENARIO, "--alphas", "inf", "--trials", "2"],
+], ids=["sweep-k-alpha-nan", "montecarlo-alpha-inf"])
+def test_non_finite_budget_is_two(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

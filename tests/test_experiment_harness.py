@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -65,6 +66,10 @@ class TestSampleBounds:
             sample_bounds(0, 0, (), 0.5, 2)
         with pytest.raises(UnreachableAlphaError):
             sample_bounds(0, 0, (0,), -0.5, 1)
+
+    def test_nan_budget_rejected_at_entry(self):
+        with pytest.raises(UnreachableAlphaError, match="nan"):
+            sample_bounds(0, 0, (0, 1), float("nan"), 2)
 
     def test_pure_function_of_seed_and_trial(self):
         a = sample_bounds(7, 11, (0, 1, 2), 1.0, 3)
@@ -251,6 +256,28 @@ class TestTrials:
             assert ra.kl == rb.kl and ra.mi == rb.mi
             assert ra.phi_star_digest == rb.phi_star_digest
 
+    def test_drivers_build_no_spec(self, case9_model, case9_stats, monkeypatch):
+        from stealthdeg.attack_engine import IncompletenessSpec
+
+        def refuse(self):
+            raise AssertionError("the trial loop must not build an IncompletenessSpec")
+
+        def run():
+            return (alpha_montecarlo(case9_model, case9_stats, [0.5, 2.0], 6, 4)
+                    + k_sweep(case9_model, case9_stats, [1, 4, case9_model.l], 6, 4))
+
+        expected = run()
+        monkeypatch.setattr(IncompletenessSpec, "__post_init__", refuse)
+        assert run() == expected
+
+    @pytest.mark.parametrize("driver", ["alpha", "k"])
+    def test_zero_trials_is_validation_error(self, driver, case9_model, case9_stats):
+        with pytest.raises(ValidationError, match="trials must be >= 1"):
+            if driver == "alpha":
+                alpha_montecarlo(case9_model, case9_stats, [1.0], 0, 0)
+            else:
+                k_sweep(case9_model, case9_stats, [2], 0, 0)
+
     def test_k_out_of_range(self, case9_model, case9_stats):
         with pytest.raises(ValidationError):
             k_sweep(case9_model, case9_stats, [0], 1, 0)
@@ -313,3 +340,17 @@ class TestCsvWriters:
         phi = np.array([0.25, -1.0, 0.0])
         assert vertex_digest(phi) == vertex_digest(phi.copy())
         assert vertex_digest(phi) != vertex_digest(np.array([0.25, -1.0, 1e-9]))
+
+    def test_digest_matches_per_value_format(self):
+        # The digest hashes the fmt17 cells of the vertex, comma-joined.
+        rng = np.random.default_rng(8)
+        vectors = [
+            np.array([-0.0, 5e-324, 1e308, -1e308, 0.0, -5e-324]),
+            rng.standard_normal(41) * 10.0 ** rng.integers(-300, 300, 41).astype(float),
+            rng.uniform(-1.0, 1.0, 9),
+            np.array([]),
+        ]
+        for phi in vectors:
+            expected = hashlib.sha256(",".join(fmt17(v) for v in phi).encode()).hexdigest()[:16]
+            assert vertex_digest(phi) == expected
+            assert vertex_digest(list(phi)) == expected

@@ -67,18 +67,24 @@ def parse_range(text):
     return [start + i * step for i in range(int(points))]
 
 
-def parse_float_list(text):
+def _parse_list(text, kind, what):
+    """Comma-separated values of ``kind``; blank cells are skipped, and a
+    list with no value left is rejected."""
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [kind(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
-        raise ValidationError(f"bad number list {text!r}") from None
+        raise ValidationError(f"bad {what} list {text!r}") from None
+    if not values:
+        raise ValidationError(f"empty {what} list {text!r}")
+    return values
+
+
+def parse_float_list(text):
+    return _parse_list(text, float, "number")
 
 
 def parse_int_list(text):
-    try:
-        return [int(p) for p in text.split(",") if p.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"bad integer list {text!r}") from None
+    return _parse_list(text, int, "integer")
 
 
 def _model_for(args):

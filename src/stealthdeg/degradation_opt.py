@@ -33,6 +33,12 @@ _VERTEX_CHUNK = 256
 # goes to the lower bound.  Symmetric boxes tie exactly; the rank-2 scores
 # reproduce such ties only to roundoff.
 _TIE_RTOL = 1e-12
+# Below this, x - log1p(x) comes from its Taylor series: the direct
+# difference loses about log10(2 / x) digits to cancellation.  The
+# coefficients (-1)^k / k run from k = 18 down to 2 (Horner order); the first
+# omitted term is about 1e-18 of the sum at x = _SERIES_MAX.
+_SERIES_MAX = 0.1
+_SERIES = tuple((-1.0) ** k / k for k in range(18, 1, -1))
 
 
 class VertexChoice(enum.Enum):
@@ -72,6 +78,50 @@ def _logdet_pd(mat, context):
     return logdet[()]
 
 
+def _x_minus_log1p(x):
+    """x - log1p(x) for x >= 0, accurate to roundoff also as x -> 0."""
+    t = np.minimum(x, _SERIES_MAX)
+    series = np.zeros_like(t)
+    for coeff in _SERIES:
+        series = series * t + coeff
+    return np.where(x < _SERIES_MAX, series * t * t, x - np.log1p(x))
+
+
+def uniform_metrics(stats, betas):
+    """(kl, mi) arrays of the uniform family phi = beta * ones, per beta.
+
+    With phi = beta * ones, C = (1 + beta) F, so M = s F^T G F and
+    P P^T = (1 + s) J F (J F)^T with s = (1 + beta)^2.  Let mu be the
+    eigenvalues of (J F)^T J F / sigma2 (``stats.signal_eigs / sigma2``);
+    those of F^T G F are then lam = mu / (1 + mu), and
+
+        2 kl = sum (s lam - log1p(s lam)),
+        2 mi = sum log1p(mu / (1 + s mu)) = sum log1p(1 / (s + 1 / mu)),
+
+    so each beta costs O(n).  The last form cannot overflow in s mu.  The
+    small-x end of x - log1p(x) is summed from its series, so kl keeps full
+    relative accuracy as beta nears -1, and nothing cancels at high SNR as
+    it does in M = F^T G F.  A beta whose s, kl or mi is not finite raises
+    :class:`~stealthdeg.errors.SingularityError`.
+    """
+    mu = stats.signal_eigs / stats.sigma2
+    lam = mu / (1.0 + mu)
+    with np.errstate(divide="ignore"):
+        inv_mu = 1.0 / mu
+    with np.errstate(over="ignore"):
+        s = _finite((1.0 + np.asarray(betas, dtype=float)) ** 2,
+                    "the uniform scale (1 + beta)^2")[:, None]
+        kl = 0.5 * _x_minus_log1p(s * lam).sum(axis=1)
+        mi = 0.5 * np.log1p(1.0 / (s + inv_mu)).sum(axis=1)
+    return _finite(kl, "the KL divergence"), _finite(mi, "the mutual information")
+
+
+def _uniform_rows(phi):
+    """Mask of the ratio vectors in a stack (..., l) whose coordinates are
+    all equal, i.e. the members of the uniform family."""
+    return (phi == phi[..., :1]).all(axis=-1)
+
+
 class ObjectiveEvaluator:
     """The one numerical core behind the objective, KL and MI of a scenario.
 
@@ -82,10 +132,13 @@ class ObjectiveEvaluator:
         2 kl = tr(M) - log|I + M|,   M = C^T G C,   G = J^T S J,
         2 mi = log|I + P^T P / sigma2| - log|I + K^T K / sigma2|,
 
-    with K = J C and P = [K, J F]; the objective is 2 kl.  F and G are read
-    from :class:`~stealthdeg.stochastics.ScenarioStats`.  Log-determinants
-    come from Cholesky pivots of matrices no smaller than I.  W is kept for
-    regime labels.
+    with K = J C and P = [K, J F]; the objective is 2 kl.  F, G and
+    (J F)^T J F are read from :class:`~stealthdeg.stochastics.ScenarioStats`,
+    and J^T J = A A^T + 2 I from the model's incidence.  Log-determinants
+    come from Cholesky pivots of matrices no smaller than I.  Ratio vectors
+    of the uniform family phi = beta * ones, phi = 0 among them, take their
+    values from the closed form of :func:`uniform_metrics` instead, which
+    does not cancel at high SNR.  W is kept for regime labels.
 
     Moving 1 + phi_i by e changes C by e e_i r^T with r = F[i], hence M by
     the symmetric rank-2 term  e (r u^T + u r^T) + e^2 G_ii r r^T  with
@@ -100,15 +153,16 @@ class ObjectiveEvaluator:
         self.stats = stats
         self.W = state_edge_cov(model, stats.sigma_xx)
         self._F, self._G = stats.F, stats.G
-        self._JtJ = model.J.T @ model.J
-        self._JF_gram = self._F.T @ self._JtJ @ self._F
+        # Small integers throughout, so bitwise equal to J^T J.
+        self._JtJ = model.A @ model.A.T + 2.0 * np.eye(model.l)
+        self._JF_gram = stats._fold[2]
         self._eye = np.eye(model.n)
         self._baseline = None
         self._objective_at_zero = None
         self._origin = None
 
     def _kl(self, c):
-        """kl for C, or for a stack of them (..., l, n).
+        """kl for C, or for a stack of them (..., l, n), as an array.
 
         With I + M = L L^T, 2 kl = sum_{i>j} L_ij^2 + sum_i (x_i - log1p x_i)
         where x_i = L_ii^2 - 1: every term is >= 0, so nothing cancels as
@@ -119,7 +173,7 @@ class ObjectiveEvaluator:
         lower = np.tril(chol, -1)
         x = np.diagonal(chol, axis1=-2, axis2=-1) ** 2 - 1.0
         kl = 0.5 * ((lower * lower).sum(axis=(-2, -1)) + (x - np.log1p(x)).sum(axis=-1))
-        return _finite(kl, "the KL divergence")[()]
+        return _finite(np.asarray(kl), "the KL divergence")
 
     def objective(self, phi):
         """Detectability objective (twice the KL divergence) at phi.
@@ -127,12 +181,17 @@ class ObjectiveEvaluator:
         ``phi`` may be one ratio vector or a stack (..., l); a stack gives
         an array of objectives.
         """
-        return 2.0 * self._kl((1.0 + phi)[..., :, None] * self._F)
+        phi = np.asarray(phi, dtype=float)
+        kl = self._kl((1.0 + phi)[..., :, None] * self._F)
+        uniform = _uniform_rows(phi)
+        if uniform.any():
+            kl[uniform] = uniform_metrics(self.stats, phi[uniform, 0])[0]
+        return 2.0 * kl[()]
 
     def objective_at_zero(self):
         """Objective of the complete-information attack (cached)."""
         if self._objective_at_zero is None:
-            self._objective_at_zero = self.objective(np.zeros(self.model.l))
+            self._objective_at_zero = 2.0 * self.baseline()[0]
         return self._objective_at_zero
 
     def metrics(self, phi):
@@ -156,13 +215,19 @@ class ObjectiveEvaluator:
         # The leading n pivots of I + P^T P are those of I + K^T K, so mi is
         # the sum of the logs of the trailing n.
         pivots = np.diagonal(np.linalg.cholesky(ptp), axis1=-2, axis2=-1)
-        mi = np.log(_finite(pivots, "a pivot of I + P^T P")[..., n:]).sum(axis=-1)
-        return self._kl(c), mi[()]
+        mi = np.asarray(np.log(_finite(pivots, "a pivot of I + P^T P")[..., n:]).sum(axis=-1))
+        kl = self._kl(c)
+        uniform = _uniform_rows(phi)
+        if uniform.any():
+            kl[uniform], mi[uniform] = uniform_metrics(self.stats, phi[uniform, 0])
+        return kl[()], mi[()]
 
     def baseline(self):
-        """(kl_opt, mi_opt): metrics of the complete-information attack."""
+        """(kl_opt, mi_opt): metrics of the complete-information attack,
+        phi = 0, from the closed form (cached)."""
         if self._baseline is None:
-            self._baseline = self.metrics(np.zeros(self.model.l))
+            kl, mi = uniform_metrics(self.stats, [0.0])
+            self._baseline = kl[0], mi[0]
         return self._baseline
 
     def greedy(self, lows, highs, *, refine=False):

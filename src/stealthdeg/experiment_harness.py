@@ -21,12 +21,12 @@ into a row of (trials, l) bound arrays and builds no per-trial spec object.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .attack_engine import delta_from_state_cov
-from .degradation_opt import _finite, ObjectiveEvaluator
+from .degradation_opt import ObjectiveEvaluator, uniform_metrics
 from .errors import UnreachableAlphaError, ValidationError
 from .regime_analysis import classify_delta, classify_uniform_ratio, RegimeLabel
 
@@ -36,12 +36,6 @@ _METRICS_STACK = 8
 # Grid points of a beta sweep evaluated per vectorised block, which keeps its
 # (points, n) temporaries near 1.6 MB each on a 200-bus grid.
 _BETA_CHUNK = 1024
-# Below this, x - log1p(x) comes from its Taylor series: the direct
-# difference loses about log10(2 / x) digits to cancellation.  The
-# coefficients (-1)^k / k run from k = 18 down to 2 (Horner order); the first
-# omitted term is about 1e-18 of the sum at x = _SERIES_MAX.
-_SERIES_MAX = 0.1
-_SERIES = tuple((-1.0) ** k / k for k in range(18, 1, -1))
 
 
 def fmt17(x):
@@ -74,7 +68,12 @@ class BetaRow:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One Monte-Carlo trial: budget, chosen vertex metrics and regime."""
+    """One Monte-Carlo trial: budget, chosen vertex metrics and regime.
+
+    The chosen vertex is kept as its float64 bytes, which take less memory
+    than a tuple of floats; no CSV prints it, so its digest is derived on
+    access.
+    """
 
     trial_id: int
     alpha: float
@@ -84,50 +83,28 @@ class TrialRecord:
     kl_opt: float
     mi_opt: float
     regime: RegimeLabel
-    phi_star_digest: str
+    _vertex: bytes = field(repr=False)
 
-
-def _x_minus_log1p(x):
-    """x - log1p(x) for x >= 0, accurate to roundoff also as x -> 0."""
-    t = np.minimum(x, _SERIES_MAX)
-    series = np.zeros_like(t)
-    for coeff in _SERIES:
-        series = series * t + coeff
-    return np.where(x < _SERIES_MAX, series * t * t, x - np.log1p(x))
+    @property
+    def phi_star_digest(self):
+        return vertex_digest(np.frombuffer(self._vertex))
 
 
 def beta_sweep(model, stats, beta_grid):
     """Metrics of the uniform-ratio family phi = beta * ones over a grid.
 
-    With phi = beta * ones, C = (1 + beta) F, so M = s F^T G F and
-    P P^T = (1 + s) J F (J F)^T with s = (1 + beta)^2.  Let mu be the
-    eigenvalues of (J F)^T J F / sigma2 (``stats.signal_eigs / sigma2``);
-    those of F^T G F are then lam = mu / (1 + mu), and
-
-        2 kl = sum (s lam - log1p(s lam)),
-        2 mi = sum log1p(mu / (1 + s mu)) = sum log1p(1 / (s + 1 / mu)),
-
-    so each grid point costs O(n) and no evaluator is built.  The last form
-    cannot overflow in s mu.  The small-x end of x - log1p(x) is summed from
-    its series, so kl keeps full relative accuracy as beta nears -1.  The grid is evaluated in blocks of
-    ``_BETA_CHUNK`` points.  A beta whose s, kl or mi is not finite raises
+    Each grid point costs O(n) through the closed form of
+    :func:`~stealthdeg.degradation_opt.uniform_metrics`, and no evaluator
+    is built.  The grid is evaluated in blocks of ``_BETA_CHUNK`` points.  A
+    beta whose s, kl or mi is not finite raises
     :class:`~stealthdeg.errors.SingularityError`.
     """
     betas = np.asarray(beta_grid, dtype=float)
-    mu = stats.signal_eigs / stats.sigma2
-    lam = mu / (1.0 + mu)
-    with np.errstate(divide="ignore"):
-        inv_mu = 1.0 / mu
     kl = np.empty(len(betas))
     mi = np.empty(len(betas))
     for start in range(0, len(betas), _BETA_CHUNK):
         block = slice(start, start + _BETA_CHUNK)
-        with np.errstate(over="ignore"):
-            s = _finite((1.0 + betas[block]) ** 2, "the uniform scale (1 + beta)^2")[:, None]
-            kl[block] = 0.5 * _x_minus_log1p(s * lam).sum(axis=1)
-            mi[block] = 0.5 * np.log1p(1.0 / (s + inv_mu)).sum(axis=1)
-    _finite(kl, "the KL divergence")
-    _finite(mi, "the mutual information")
+        kl[block], mi[block] = uniform_metrics(stats, betas[block])
     return [BetaRow(beta=float(beta), kl=float(k), mi=float(m),
                     regime=classify_uniform_ratio(float(beta)))
             for beta, k, m in zip(betas, kl, mi)]
@@ -213,7 +190,7 @@ def _run_trials(ev, seed, trials, batches):
                 kl_opt=kl_opt,
                 mi_opt=mi_opt,
                 regime=classify_delta(delta_from_state_cov(ev.W, phi)),
-                phi_star_digest=vertex_digest(phi),
+                _vertex=phi.tobytes(),
             ))
     return records
 

@@ -4,6 +4,12 @@ Measurements are the net bus injections plus the branch flows in both
 directions, so the Jacobian stacks as H = [A^T diag(b) A; diag(b) A;
 -diag(b) A] = J diag(b) A with J = [A; I; -I]^T.  States are the voltage
 angles at the non-reference buses.
+
+J enters every metric only through J^T J = A A^T + 2 I: rotating each
+(flow, reverse flow) row pair by 45 degrees, an orthogonal change of
+measurement basis, maps it to (sqrt(2) flow, 0).  The scenario and the
+metrics are therefore built from A alone (see
+:func:`~stealthdeg.stochastics.build_scenario`).
 """
 
 from dataclasses import dataclass
@@ -24,6 +30,10 @@ class GridModel:
     b: length-l branch susceptance vector (1/x).
     J: (n+2l) x l stacking matrix.
     H: m x n Jacobian, m = n + 2l.
+
+    J and H are kept for the structure report, ``dump-model`` and the
+    test oracles; no metric, scenario or optimizer path reads J, which
+    enters them only through J^T J = A A^T + 2 I.
     """
 
     A: np.ndarray
@@ -73,10 +83,21 @@ def susceptance_diag(case):
 
 
 def jacobian(A, b):
-    """Stacking matrix J = [A; I; -I]^T and Jacobian H = J diag(b) A."""
+    """Stacking matrix J = [A; I; -I]^T and Jacobian H = J diag(b) A.
+
+    H is stacked block by block from the flows diag(b) A, without the
+    O(m l n) product J @ (diag(b) A).  Its flow blocks are bitwise those of
+    the product; the injection block A^T diag(b) A sums the same terms, in
+    an order BLAS may choose differently on large grids (bitwise equal on
+    the bundled cases).
+    """
     l, n = A.shape
-    J = np.vstack([A.T, np.eye(l), -np.eye(l)])
-    H = J @ (b[:, None] * A)
+    eye = np.eye(l)
+    J = np.vstack([A.T, eye, -eye])
+    flows = b[:, None] * A
+    H = np.vstack([A.T @ flows, flows, -flows])
+    # The matrix product sums from +0.0, so its zeros are never -0.0.
+    H += 0.0
     return J, H
 
 
@@ -95,11 +116,15 @@ def _connected_components(A):
             x = parent[x]
         return x
 
-    for k in range(l):
-        nz = np.flatnonzero(A[k])
-        u = nz[0] if nz.size else n
-        v = nz[1] if nz.size > 1 else n
-        ru, rv = find(int(u)), find(int(v))
+    # Row k's ends default to the reference; np.nonzero lists each row's
+    # columns in order, the first filling slot 0 and a second slot 1.
+    rows, cols = np.nonzero(A)
+    ends = np.full((l, 2), n)
+    second = np.zeros(len(rows), dtype=np.intp)
+    second[1:] = rows[1:] == rows[:-1]
+    ends[rows, second] = cols
+    for u, v in ends.tolist():
+        ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
     return len({find(x) for x in range(n + 1)})

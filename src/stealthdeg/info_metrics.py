@@ -32,7 +32,9 @@ class MetricsPoint:
 
 
 def optimal_metrics(model, stats):
-    """(kl, mi) of the complete-information attack (zero ratio vector)."""
+    """(kl, mi) of the complete-information attack (zero ratio vector),
+    from the closed form of the uniform family (see
+    :meth:`~stealthdeg.degradation_opt.ObjectiveEvaluator.baseline`)."""
     return ObjectiveEvaluator(model, stats).baseline()
 
 

@@ -25,22 +25,28 @@ class ScenarioStats:
     G: l x l matrix J^T sigma_yy^-1 J, built without any m x m matrix on
         first access (the uniform sweep never reads it).
     H: the model's m x n Jacobian.
-    signal_eigs: the n eigenvalues of (J F)^T (J F) = R^T R in ascending
-        order, i.e. the n largest eigenvalues of the signal covariance.  R R^T is PSD
-        by construction, so negative eigenvalues are roundoff and are
-        clamped at 0.  With mu = signal_eigs / sigma2, the eigenvalues of
-        F^T G F are mu / (1 + mu), which gives the uniform family
+    signal_eigs: the n eigenvalues of (J F)^T (J F) in ascending order,
+        i.e. the n largest eigenvalues of the signal covariance.  The Gram
+        is PSD by construction, so negative eigenvalues are roundoff and
+        are clamped at 0.  With mu = signal_eigs / sigma2, the eigenvalues
+        of F^T G F are mu / (1 + mu), which gives the uniform family
         phi = beta * ones in closed form (see
-        :func:`~stealthdeg.experiment_harness.beta_sweep`).
+        :func:`~stealthdeg.degradation_opt.uniform_metrics`).
 
-    With J F = Q R (thin QR) and J_perp = J - Q Q^T J, the measurement
-    covariance sigma_yy = Q R R^T Q^T + sigma2 I inverts on range(Q) and its
-    complement separately:
+    The fold: rotating each (flow, reverse flow) measurement pair by 45
+    degrees is an orthogonal change of basis that maps J = [A^T; I; -I] to
+    [J~; 0] with J~ = [A^T; sqrt(2) I], so every quantity here comes from
+    the (n + l)-row J~, and J F from K = J~ F = [A^T F; sqrt(2) F], whose
+    Gram K^T K = (A^T F)^T (A^T F) + 2 F^T F is (J F)^T (J F).
 
-        G = J_perp^T J_perp / sigma2 + (Q^T J)^T (R R^T + sigma2 I)^-1 (Q^T J).
+    With K = Q R (thin QR) and J_perp = J~ - Q Q^T J~, the folded
+    measurement covariance Q R R^T Q^T + sigma2 I inverts on range(Q) and
+    its complement separately:
+
+        G = J_perp^T J_perp / sigma2 + (Q^T J~)^T (R R^T + sigma2 I)^-1 (Q^T J~).
 
     Singularity: :func:`build_scenario` raises :class:`SingularityError`
-    when sigma2 <= eps ||R||_2^2, i.e. when the noise is below roundoff of
+    when sigma2 <= eps ||K||_2^2, i.e. when the noise is below roundoff of
     the largest signal variance and sigma_yy is singular to working
     precision.  At rho = 0.5 this rejects SNRs from about 146.4 dB on
     case9, 143.6 dB on case14 and 141.6 dB on case30.
@@ -57,15 +63,19 @@ class ScenarioStats:
     F: np.ndarray
     H: np.ndarray
     signal_eigs: np.ndarray
-    # (J, Q, R R^T) of the QR split, from which G is built.
-    _split: tuple = field(repr=False)
+    # (A, K, K^T K) of the fold: G is built from the first two, and the
+    # evaluator's metrics read the Gram.
+    _fold: tuple = field(repr=False)
 
     @cached_property
     def G(self):
-        J, Q, RRt = self._split
+        A, K, _ = self._fold
+        l, n = self.F.shape
+        Q, R = np.linalg.qr(K)
+        J = np.vstack([A.T, np.sqrt(2.0) * np.eye(l)])
         QtJ = Q.T @ J
         J_perp = J - Q @ QtJ
-        Y = np.linalg.solve(np.linalg.cholesky(RRt + self.sigma2 * np.eye(len(RRt))), QtJ)
+        Y = np.linalg.solve(np.linalg.cholesky(R @ R.T + self.sigma2 * np.eye(n)), QtJ)
         return J_perp.T @ J_perp / self.sigma2 + Y.T @ Y
 
     @cached_property
@@ -130,20 +140,21 @@ def snr_from_variance(cov_signal, m, sigma2):
 
 
 def build_scenario(model, rho, snr_db):
-    """Assemble the :class:`ScenarioStats` for a grid model in O(m n^2).
+    """Assemble the :class:`ScenarioStats` for a grid model in O(l n^2).
 
-    Its G costs O(m l^2) more, on first access.
-
-    See :class:`ScenarioStats` for the QR split of G and the singularity
-    criterion.
+    sigma2 and the signal spectrum come from the folded J F, the
+    (n + l) x n matrix K = [A^T F; sqrt(2) F], and its n x n Gram: no
+    m-row matrix is built and no QR is run.  G costs O((n + l) l^2) more,
+    on first access.  See :class:`ScenarioStats` for the fold, the QR split
+    of G and the singularity criterion.
     """
     sigma_xx = toeplitz_cov(model.n, rho)
     F = model.b[:, None] * (model.A @ np.linalg.cholesky(sigma_xx))
-    JF = model.J @ F
-    sigma2 = _noise_from_power(np.vdot(JF, JF), model.m, snr_db)
-    Q, R = np.linalg.qr(JF)
-    RRt = R @ R.T
-    signal_eigs = np.maximum(np.linalg.eigvalsh(RRt), 0.0)
+    K = np.vstack([model.A.T @ F, np.sqrt(2.0) * F])
+    # ||J F||_F^2 = ||K||_F^2 = ||A^T F||_F^2 + 2 ||F||_F^2.
+    sigma2 = _noise_from_power(np.vdot(K, K), model.m, snr_db)
+    gram = K.T @ K
+    signal_eigs = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     if sigma2 <= np.finfo(float).eps * signal_eigs[-1]:
         raise SingularityError(
             f"noise variance {sigma2:.3e} is below roundoff of the signal at {snr_db} dB")
@@ -153,5 +164,5 @@ def build_scenario(model, rho, snr_db):
         F=F,
         H=model.H,
         signal_eigs=signal_eigs,
-        _split=(model.J, Q, RRt),
+        _fold=(model.A, K, gram),
     )

@@ -6,9 +6,11 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+import numpy as np
 import pytest
 
 from stealthdeg import build_model, build_scenario, load_case, parse_case
+from stealthdeg.case_ingest import BranchRecord, GridCase
 
 RING_TEXT = """\
 mpc.baseMVA = 100;
@@ -33,6 +35,28 @@ def ring_case():
 @pytest.fixture(scope="session")
 def ring_model(ring_case):
     return build_model(ring_case)
+
+
+def seeded_ring(n_bus, n_branch, seed):
+    """Ring 1-2-...-n-1 plus seeded chords and reactances in [0.02, 0.2]."""
+    rng = np.random.default_rng(seed)
+    edges = [(i, i % n_bus + 1) for i in range(1, n_bus + 1)]
+    seen = {frozenset(e) for e in edges}
+    while len(edges) < n_branch:
+        a, b = (int(v) for v in rng.integers(1, n_bus + 1, size=2))
+        if a != b and frozenset((a, b)) not in seen:
+            seen.add(frozenset((a, b)))
+            edges.append((a, b))
+    xs = rng.uniform(0.02, 0.2, size=n_branch)
+    branches = tuple(BranchRecord(a, b, float(x), True) for (a, b), x in zip(edges, xs))
+    return GridCase(base_mva=100.0, buses=tuple(range(1, n_bus + 1)),
+                    branches=branches, reference_bus=1)
+
+
+@pytest.fixture(scope="session")
+def ring200_model():
+    """A 200-bus ring with 100 seeded chords: n = 199, l = 300, m = 799."""
+    return build_model(seeded_ring(200, 300, 0))
 
 
 @pytest.fixture(scope="session")

@@ -113,6 +113,23 @@ def integrity_cost(cov_attack, stats):
     )
 
 
+# -- the unfolded scenario ---------------------------------------------------
+
+def unfolded_G(model, stats):
+    """G = J^T sigma_yy^-1 J through the QR split of the m-row J F.
+
+    The same split as :attr:`stealthdeg.ScenarioStats.G` without the fold:
+    with J F = Q R and J_perp = J - Q Q^T J,
+    G = J_perp^T J_perp / sigma2 + (Q^T J)^T (R R^T + sigma2 I)^-1 (Q^T J).
+    """
+    J = model.J
+    Q, R = np.linalg.qr(J @ stats.F)
+    QtJ = Q.T @ J
+    J_perp = J - Q @ QtJ
+    Y = np.linalg.solve(np.linalg.cholesky(R @ R.T + stats.sigma2 * np.eye(model.n)), QtJ)
+    return J_perp.T @ J_perp / stats.sigma2 + Y.T @ Y
+
+
 # -- the delta route ----------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)

@@ -360,3 +360,22 @@ def test_non_finite_budget_is_two(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["montecarlo-alpha", "--alphas=,"],
+    ["montecarlo-alpha", "--alphas= , "],
+    ["sweep-k", "--ks="],
+    ["sweep-k", "--ks= ,, "],
+], ids=["alphas-comma", "alphas-blanks", "ks-empty", "ks-blanks"])
+def test_empty_list_is_two_without_output(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stealthdeg.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "stealthdeg.cli", argv[0], *SCENARIO, argv[1],
+         "--trials", "2", "--out", str(out)],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: empty ")
+    assert "Traceback" not in run.stderr
+    assert not out.exists()

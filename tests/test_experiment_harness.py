@@ -256,6 +256,24 @@ class TestTrials:
             assert ra.kl == rb.kl and ra.mi == rb.mi
             assert ra.phi_star_digest == rb.phi_star_digest
 
+    def test_trial_loop_hashes_no_vertex(self, case9_model, case9_stats, monkeypatch):
+        import stealthdeg.experiment_harness as harness
+
+        expected = alpha_montecarlo(case9_model, case9_stats, [0.5], 3, 2)
+
+        def refuse(phi):
+            raise AssertionError("the trial loop must not hash vertices")
+
+        monkeypatch.setattr(harness, "vertex_digest", refuse)
+        records = alpha_montecarlo(case9_model, case9_stats, [0.5], 3, 2)
+        monkeypatch.undo()
+        assert records == expected
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        support = tuple(range(case9_model.l))
+        for rec in records:
+            lo, hi = sample_bounds(2, rec.trial_id, support, 0.5, case9_model.l)
+            assert rec.phi_star_digest == vertex_digest(ev.greedy(lo, hi)[0])
+
     def test_drivers_build_no_spec(self, case9_model, case9_stats, monkeypatch):
         from stealthdeg.attack_engine import IncompletenessSpec
 

@@ -16,6 +16,7 @@ from stealthdeg import (
     IncompletenessSpec,
     ObjectiveEvaluator,
     SingularityError,
+    beta_sweep,
     exhaustive_maximize,
     greedy_maximize,
 )
@@ -153,6 +154,34 @@ def test_objective_at_zero_is_cached(case9_model, case9_stats):
     for result in (greedy_maximize(case9_model, case9_stats, spec, evaluator=ev),
                    exhaustive_maximize(case9_model, case9_stats, spec, evaluator=ev)):
         assert result.objective_at_zero is at_zero
+
+
+def test_uniform_rows_take_the_closed_form(case9_model, case9_stats):
+    # Rows phi = beta * ones of a stack read the closed form of the sweep;
+    # the other rows keep the Cholesky route.
+    ev = ObjectiveEvaluator(case9_model, case9_stats)
+    l = case9_model.l
+    betas = [-1.5, -1.0, -0.0, 0.0, 0.4]
+    rows = beta_sweep(case9_model, case9_stats, betas)
+    stack = np.vstack([np.outer(betas, np.ones(l)),
+                       np.random.default_rng(3).uniform(-1.0, 1.0, (2, l))])
+    objective = ev.objective(stack)
+    kl, mi = ev.metrics(stack)
+    for i, row in enumerate(rows):
+        assert objective[i] == 2.0 * row.kl
+        assert (kl[i], mi[i]) == (row.kl, row.mi)
+    for j in (5, 6):
+        assert objective[j] == pytest.approx(ev.objective(stack[j]), rel=1e-14)
+        assert kl[j] == pytest.approx(ev.metrics(stack[j])[0], rel=1e-14)
+
+
+def test_gram_blocks_from_the_fold(case30_model, case30_stats):
+    # J^T J = A A^T + 2 I holds small integers, so it is exact.
+    ev = ObjectiveEvaluator(case30_model, case30_stats)
+    J, F = case30_model.J, case30_stats.F
+    assert np.array_equal(ev._JtJ, J.T @ J)
+    gram = F.T @ (J.T @ J) @ F
+    assert np.abs(ev._JF_gram - gram).max() <= 1e-13 * np.abs(gram).max()
 
 
 def test_package_does_not_import_scipy():

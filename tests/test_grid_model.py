@@ -10,7 +10,7 @@ from stealthdeg import (
     parse_case,
     susceptance_diag,
 )
-from stealthdeg.grid_model import GridModel
+from stealthdeg.grid_model import GridModel, _connected_components
 
 TWO_BUS = """\
 mpc.baseMVA = 100;
@@ -117,3 +117,49 @@ def test_disconnected_islands_rejected():
     assert not report.connected
     assert report.n_components == 2
     assert report.rank < model.n
+
+
+@pytest.mark.parametrize("fixture", ["ring_model", "case9_model", "case14_model",
+                                     "case30_model", "ring200_model"])
+def test_blockwise_jacobian_matches_the_product(fixture, request):
+    # Negated susceptances turn the zero flows into -0.0, which the product
+    # never yields; bytes compare the sign of zero too.  The injection
+    # block's sums may be ordered differently by BLAS on larger grids, so
+    # beyond the bundled cases it is held to roundoff only.
+    model = request.getfixturevalue(fixture)
+    for b in (model.b, -model.b):
+        J, H = jacobian(model.A, b)
+        product = J @ (b[:, None] * model.A)
+        if fixture != "ring200_model":
+            assert H.tobytes() == product.tobytes()
+        n = model.n
+        assert H[n:].tobytes() == product[n:].tobytes()
+        assert np.abs(H[:n] - product[:n]).max() <= 1e-14 * np.abs(product[:n]).max()
+
+
+def _union_find_components(n_bus, edges):
+    parent = list(range(n_bus))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in range(n_bus)})
+
+
+def test_components_match_union_find_oracle():
+    # Random multigraphs, from edgeless (all islands) to dense, with
+    # branches at the reference bus, parallel branches and either sign.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        n_bus = int(rng.integers(2, 13))
+        edges = [tuple(int(v) for v in rng.choice(n_bus, size=2, replace=False))
+                 for _ in range(int(rng.integers(0, 2 * n_bus)))]
+        full = np.zeros((len(edges), n_bus))
+        for k, (a, b) in enumerate(edges):
+            full[k, a], full[k, b] = 1.0, -1.0
+        A = np.delete(full, int(rng.integers(n_bus)), axis=1)
+        assert _connected_components(A) == _union_find_components(n_bus, edges)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from stealthdeg import (
     snr_from_variance,
     toeplitz_cov,
 )
+from oracles import unfolded_G
 
 
 def test_toeplitz_rho_zero_is_identity():
@@ -243,3 +246,72 @@ def test_library_paths_never_build_m_by_m(case30_model):
     for phi in (greedy.phi_star, exact.phi_star):
         classify_delta(delta_matrix(model, stats.sigma_xx, IncompletenessSpec.from_phi(phi)))
     assert not {"cov_signal", "sigma_yy", "sigma_yy_inv"} & set(vars(stats))
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0, 90.0])
+@pytest.mark.parametrize("fixture", ["case9_model", "case14_model", "case30_model",
+                                     "ring200_model"])
+def test_folded_G_matches_unfolded_split(fixture, snr_db, request):
+    # Rotating each (flow, reverse flow) row pair by 45 degrees is an
+    # orthogonal change of measurement basis, so folding J changes G only
+    # by roundoff.
+    model = request.getfixturevalue(fixture)
+    stats = build_scenario(model, 0.5, snr_db)
+    ref = unfolded_G(model, stats)
+    assert np.abs(stats.G - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("case", ["case9", "case14"])
+def test_signal_eigs_match_mpmath(case, request):
+    # 50-digit eigenvalues of (J F)^T (J F), built from the unfolded J.
+    model = request.getfixturevalue(f"{case}_model")
+    stats = request.getfixturevalue(f"{case}_stats")
+    with mpmath.workdps(50):
+        F = _mp_matrix(model.b[:, None] * model.A) * mpmath.cholesky(_mp_matrix(stats.sigma_xx))
+        K = _mp_matrix(model.J) * F
+        ref = np.sort([float(x) for x in mpmath.eigsy(K.T * K, eigvals_only=True)])
+    # A backward-stable symmetric eigensolver errs by O(n eps ||K^T K||).
+    err = np.abs(stats.signal_eigs - ref).max()
+    assert err <= model.n * np.finfo(float).eps * ref[-1]
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 70.0, 90.0])
+def test_baseline_matches_mpmath(snr_db, case9_model):
+    # phi = 0 is beta = 0 of the uniform family.  Through M = F^T G F the
+    # objective at zero cancelled down to 1e-8 relative at 90 dB.
+    stats = build_scenario(case9_model, 0.5, snr_db)
+    ev = ObjectiveEvaluator(case9_model, stats)
+    (kl, mi), = _mp_uniform_metrics(case9_model, stats, [0.0])
+    kl_opt, mi_opt = ev.baseline()
+    assert abs(kl_opt - kl) <= 1e-14 * kl
+    assert abs(mi_opt - mi) <= 1e-14 * mi
+    assert abs(ev.objective_at_zero() - 2.0 * kl) <= 2e-14 * kl
+
+
+def test_library_paths_need_neither_J_nor_H(case30_model):
+    full = case30_model
+    bare = dataclasses.replace(full, J=None, H=None)
+    stats, full_stats = build_scenario(bare, 0.5, 30.0), build_scenario(full, 0.5, 30.0)
+    betas = [-2.5, -1.0, 0.0, 0.4]
+    assert beta_sweep(bare, stats, betas) == beta_sweep(full, full_stats, betas)
+    ev, full_ev = ObjectiveEvaluator(bare, stats), ObjectiveEvaluator(full, full_stats)
+    support = tuple(range(full.l))
+    boxes = [sample_bounds(0, trial, support, 1.0, full.l) for trial in range(3)]
+    lows, highs = (np.array(side) for side in zip(*boxes))
+    phis = ev.greedy(lows, highs)
+    assert np.array_equal(phis, full_ev.greedy(lows, highs))
+    assert np.array_equal(ev.objective(phis), full_ev.objective(phis))
+    for got, expected in zip(ev.metrics(phis), full_ev.metrics(phis)):
+        assert np.array_equal(got, expected)
+    assert ev.baseline() == full_ev.baseline()
+
+
+def test_sweep_path_runs_no_qr(case30_model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the uniform sweep must not run a QR")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    stats = build_scenario(case30_model, 0.5, 30.0)
+    rows = beta_sweep(case30_model, stats, [-2.5, -1.0, 0.0, 0.4])
+    assert all(np.isfinite([r.kl, r.mi]).all() for r in rows)
+    assert "G" not in vars(stats)

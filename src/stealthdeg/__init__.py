@@ -64,7 +64,6 @@ from .stochastics import (
     ScenarioStats,
     build_scenario,
     noise_variance,
-    snr_from_variance,
     toeplitz_cov,
 )
 

@@ -255,12 +255,19 @@ def bundled_case_text(name):
 
 
 def load_case(path_or_name):
-    """Load a case from a filesystem path, else fall back to a bundled case."""
+    """Load a case from a filesystem path, else fall back to a bundled case.
+
+    The file must be UTF-8 text; other bytes raise :class:`CaseSyntaxError`.
+    """
     try:
-        with open(path_or_name, "r") as fh:
-            return parse_case(fh.read())
+        with open(path_or_name, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except (FileNotFoundError, IsADirectoryError):
         pass
+    except UnicodeDecodeError as exc:
+        raise CaseSyntaxError(f"case file is not UTF-8 text (byte {exc.start})") from None
+    else:
+        return parse_case(text)
     base = str(path_or_name).rsplit("/", 1)[-1]
     try:
         return parse_case(bundled_case_text(base))

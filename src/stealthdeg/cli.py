@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 usage error, 2 parse/validation error,
-3 numerical error.  Every run is deterministic: randomness comes only from
---seed (default 0, never wall-clock).
+3 numerical error.  Every run is deterministic: montecarlo-alpha and sweep-k
+draw only from --seed (default 0, never wall-clock), and no other
+subcommand draws at all.
 
 Note for values starting with a dash (negative numbers, ranges like
 -3:1:0.02): pass them as --beta=-3:1:0.02.
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import attack_engine, degradation_opt, experiment_harness, info_metrics
 from .case_ingest import load_case
+from .degradation_opt import _finite
 from .errors import (
     DomainError,
     NotPSDError,
@@ -24,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .experiment_harness import fmt17
-from .grid_model import build_model
+from .grid_model import build_model, jacobian
 from .regime_analysis import classify_delta, definiteness_conditions
 from .stochastics import build_scenario, toeplitz_cov
 
@@ -104,8 +106,12 @@ def _scenario_for(args, model):
 
 
 def _read_spec(path, l):
-    with open(path, "r") as fh:
-        return attack_engine.read_spec_csv(fh.read(), l)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text (byte {exc.start})") from None
+    return attack_engine.read_spec_csv(text, l)
 
 
 def _write_rows(writer, rows, path):
@@ -127,7 +133,7 @@ def _cmd_dump_model(args):
     model = _model_for(args)
     _write_matrix_csv(model.A, f"{args.out_dir}/A.csv")
     _write_matrix_csv(model.b, f"{args.out_dir}/D.csv")
-    _write_matrix_csv(model.H, f"{args.out_dir}/H.csv")
+    _write_matrix_csv(jacobian(model.A, model.b), f"{args.out_dir}/H.csv")
     print(f"wrote A.csv ({model.l}x{model.n}), D.csv (1x{model.l}), "
           f"H.csv ({model.m}x{model.n}) to {args.out_dir}")
     return 0
@@ -143,10 +149,15 @@ def _cmd_classify(args):
     else:
         spec = _read_spec(args.spec, model.l)
     sigma_xx = toeplitz_cov(model.n, args.rho)
-    delta = attack_engine.delta_matrix(model, sigma_xx, spec)
-    label = classify_delta(delta)
-    eigs = np.linalg.eigvalsh((delta + delta.T) / 2.0)
-    conditions = definiteness_conditions(spec.phi)
+    # A huge finite ratio overflows delta, its symmetric part or the margins;
+    # each is checked, so the overflow is a numerical error, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = attack_engine.delta_matrix(model, sigma_xx, spec)
+        sym = _finite((delta + delta.T) / 2.0, "the perturbation delta")
+        eigs = _finite(np.linalg.eigvalsh(sym), "an eigenvalue of delta")
+        label = classify_delta(delta)
+        conditions = definiteness_conditions(spec.phi)
+    _finite([conditions.lhs_psd, conditions.lhs_nsd], "a sufficient-condition margin")
     print(f"regime = {label.value}")
     print(f"delta_eig_min = {fmt17(eigs[0])}")
     print(f"delta_eig_max = {fmt17(eigs[-1])}")
@@ -230,15 +241,16 @@ def _cmd_mtd_plan(args):
         result.phi_star, support=spec.support
     )
     plan = attack_engine.mtd_admittance(model.b, chosen)
-    if plan.zeroed:
-        branches = ",".join(str(i + 1) for i in plan.zeroed)
-        print(f"warning: ratio -1 on branch(es) {branches}; "
-              "admittance target is 0 there", file=sys.stderr)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("branch_index,phi,admittance_target,zeroed\n")
         for i in spec.support:
             fh.write(f"{i + 1},{fmt17(result.phi_star[i])},"
                      f"{fmt17(plan.admittance[i])},{int(i in plan.zeroed)}\n")
+    # Warned only once the plan is written, so a failed write stays one line.
+    if plan.zeroed:
+        branches = ",".join(str(i + 1) for i in plan.zeroed)
+        print(f"warning: ratio -1 on branch(es) {branches}; "
+              "admittance target is 0 there", file=sys.stderr)
     print(f"objective = {fmt17(result.objective)}")
     print(f"wrote admittance plan to {args.out}")
     return 0
@@ -246,13 +258,18 @@ def _cmd_mtd_plan(args):
 
 def _add_common(sub, scenario=True):
     sub.add_argument("--case", required=True, help="case file path or bundled name")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="RNG seed (default 0, never wall-clock)")
     if scenario:
         sub.add_argument("--rho", type=float, required=True,
                          help="state-correlation decay in [0, 1)")
         sub.add_argument("--snr-db", type=float, required=True,
                          help="signal-to-noise ratio in dB")
+
+
+def _add_trial_args(sub):
+    sub.add_argument("--trials", type=int, default=200)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="RNG seed (default 0, never wall-clock)")
+    sub.add_argument("--out", required=True)
 
 
 def _add_maximize_args(sub):
@@ -298,16 +315,14 @@ def build_parser():
                         help="random-bounds trials per alpha budget")
     _add_common(p)
     p.add_argument("--alphas", required=True, help="comma-separated budgets")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--out", required=True)
+    _add_trial_args(p)
     p.set_defaults(handler=_cmd_montecarlo_alpha)
 
     p = subs.add_parser("sweep-k", help="random-subset trials per support size")
     _add_common(p)
     p.add_argument("--ks", required=True, help="comma-separated subset sizes")
     p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--out", required=True)
+    _add_trial_args(p)
     p.set_defaults(handler=_cmd_sweep_k)
 
     p = subs.add_parser("maximize", help="stealth-degradation maximization")

@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .attack_engine import state_edge_cov
 from .errors import CapExceededError, SingularityError
 
 ENUMERATION_CAP = 20
@@ -138,7 +137,7 @@ class ObjectiveEvaluator:
     come from Cholesky pivots of matrices no smaller than I.  Ratio vectors
     of the uniform family phi = beta * ones, phi = 0 among them, take their
     values from the closed form of :func:`uniform_metrics` instead, which
-    does not cancel at high SNR.  W is kept for regime labels.
+    does not cancel at high SNR.
 
     Moving 1 + phi_i by e changes C by e e_i r^T with r = F[i], hence M by
     the symmetric rank-2 term  e (r u^T + u r^T) + e^2 G_ii r r^T  with
@@ -151,7 +150,6 @@ class ObjectiveEvaluator:
     def __init__(self, model, stats):
         self.model = model
         self.stats = stats
-        self.W = state_edge_cov(model, stats.sigma_xx)
         self._F, self._G = stats.F, stats.G
         # Small integers throughout, so bitwise equal to J^T J.
         self._JtJ = model.A @ model.A.T + 2.0 * np.eye(model.l)
@@ -182,7 +180,10 @@ class ObjectiveEvaluator:
         an array of objectives.
         """
         phi = np.asarray(phi, dtype=float)
-        kl = self._kl((1.0 + phi)[..., :, None] * self._F)
+        # A huge finite ratio overflows C or M; the check in _kl (or a failed
+        # Cholesky) makes that a numerical error rather than a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            kl = self._kl((1.0 + phi)[..., :, None] * self._F)
         uniform = _uniform_rows(phi)
         if uniform.any():
             kl[uniform] = uniform_metrics(self.stats, phi[uniform, 0])[0]
@@ -203,20 +204,22 @@ class ObjectiveEvaluator:
         """
         phi = np.asarray(phi, dtype=float)
         n = self.model.n
-        c = (1.0 + phi)[..., :, None] * self._F
-        q = self._JtJ @ c
-        ptp = np.empty(phi.shape[:-1] + (2 * n, 2 * n))
-        np.matmul(np.swapaxes(c, -1, -2), q, out=ptp[..., :n, :n])
-        np.matmul(np.swapaxes(q, -1, -2), self._F, out=ptp[..., :n, n:])
-        ptp[..., n:, :n] = np.swapaxes(ptp[..., :n, n:], -1, -2)
-        ptp[..., n:, n:] = self._JF_gram
-        ptp /= self.stats.sigma2
-        np.einsum("...ii->...i", ptp)[...] += 1.0
-        # The leading n pivots of I + P^T P are those of I + K^T K, so mi is
-        # the sum of the logs of the trailing n.
-        pivots = np.diagonal(np.linalg.cholesky(ptp), axis1=-2, axis2=-1)
-        mi = np.asarray(np.log(_finite(pivots, "a pivot of I + P^T P")[..., n:]).sum(axis=-1))
-        kl = self._kl(c)
+        # Overflow from a huge finite ratio is caught as in :meth:`objective`.
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = (1.0 + phi)[..., :, None] * self._F
+            q = self._JtJ @ c
+            ptp = np.empty(phi.shape[:-1] + (2 * n, 2 * n))
+            np.matmul(np.swapaxes(c, -1, -2), q, out=ptp[..., :n, :n])
+            np.matmul(np.swapaxes(q, -1, -2), self._F, out=ptp[..., :n, n:])
+            ptp[..., n:, :n] = np.swapaxes(ptp[..., :n, n:], -1, -2)
+            ptp[..., n:, n:] = self._JF_gram
+            ptp /= self.stats.sigma2
+            np.einsum("...ii->...i", ptp)[...] += 1.0
+            # The leading n pivots of I + P^T P are those of I + K^T K, so mi is
+            # the sum of the logs of the trailing n.
+            pivots = np.diagonal(np.linalg.cholesky(ptp), axis1=-2, axis2=-1)
+            mi = np.asarray(np.log(_finite(pivots, "a pivot of I + P^T P")[..., n:]).sum(axis=-1))
+            kl = self._kl(c)
         uniform = _uniform_rows(phi)
         if uniform.any():
             kl[uniform], mi[uniform] = uniform_metrics(self.stats, phi[uniform, 0])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attack_engine import delta_from_state_cov
+from .attack_engine import delta_from_state_cov, state_edge_cov
 from .degradation_opt import ObjectiveEvaluator, uniform_metrics
 from .errors import UnreachableAlphaError, ValidationError
 from .regime_analysis import classify_delta, classify_uniform_ratio, RegimeLabel
@@ -166,6 +166,7 @@ def _run_trials(ev, seed, trials, batches):
     l = ev.model.l
     full = tuple(range(l))
     kl_opt, mi_opt = ev.baseline()
+    W = state_edge_cov(ev.model, ev.stats.sigma_xx)
     records = []
     for k, alpha in batches:
         lows = np.empty((trials, l))
@@ -189,7 +190,7 @@ def _run_trials(ev, seed, trials, batches):
                 mi=float(mi),
                 kl_opt=kl_opt,
                 mi_opt=mi_opt,
-                regime=classify_delta(delta_from_state_cov(ev.W, phi)),
+                regime=classify_delta(delta_from_state_cov(W, phi)),
                 _vertex=phi.tobytes(),
             ))
     return records

@@ -8,8 +8,10 @@ angles at the non-reference buses.
 J enters every metric only through J^T J = A A^T + 2 I: rotating each
 (flow, reverse flow) row pair by 45 degrees, an orthogonal change of
 measurement basis, maps it to (sqrt(2) flow, 0).  The scenario and the
-metrics are therefore built from A alone (see
-:func:`~stealthdeg.stochastics.build_scenario`).
+metrics are therefore built from A and b alone (see
+:func:`~stealthdeg.stochastics.build_scenario`), and the model holds no
+m-row matrix.  H is built only on request, by :func:`jacobian`, for
+``dump-model`` and the rank check.
 """
 
 from dataclasses import dataclass
@@ -28,18 +30,12 @@ class GridModel:
 
     A: l x n reduced incidence matrix (reference column removed).
     b: length-l branch susceptance vector (1/x).
-    J: (n+2l) x l stacking matrix.
-    H: m x n Jacobian, m = n + 2l.
-
-    J and H are kept for the structure report, ``dump-model`` and the
-    test oracles; no metric, scenario or optimizer path reads J, which
-    enters them only through J^T J = A A^T + 2 I.
+    n, l: state and in-service branch counts.
+    m: measurement count n + 2l, the row count of H = :func:`jacobian`.
     """
 
     A: np.ndarray
     b: np.ndarray
-    J: np.ndarray
-    H: np.ndarray
     n: int
     l: int
     m: int
@@ -83,22 +79,19 @@ def susceptance_diag(case):
 
 
 def jacobian(A, b):
-    """Stacking matrix J = [A; I; -I]^T and Jacobian H = J diag(b) A.
+    """The m x n Jacobian H = J diag(b) A, with J = [A; I; -I]^T.
 
-    H is stacked block by block from the flows diag(b) A, without the
-    O(m l n) product J @ (diag(b) A).  Its flow blocks are bitwise those of
-    the product; the injection block A^T diag(b) A sums the same terms, in
-    an order BLAS may choose differently on large grids (bitwise equal on
-    the bundled cases).
+    H is stacked block by block from the flows diag(b) A, without forming J
+    or the O(m l n) product J @ (diag(b) A).  Its flow blocks are bitwise
+    those of the product; the injection block A^T diag(b) A sums the same
+    terms, in an order BLAS may choose differently on large grids (bitwise
+    equal on the bundled cases).
     """
-    l, n = A.shape
-    eye = np.eye(l)
-    J = np.vstack([A.T, eye, -eye])
     flows = b[:, None] * A
     H = np.vstack([A.T @ flows, flows, -flows])
     # The matrix product sums from +0.0, so its zeros are never -0.0.
     H += 0.0
-    return J, H
+    return H
 
 
 def _connected_components(A):
@@ -133,7 +126,7 @@ def _connected_components(A):
 def check_connectivity_and_rank(model):
     """Graph connectivity plus numerical rank of H via singular values."""
     n_components = _connected_components(model.A)
-    sv = np.linalg.svd(model.H, compute_uv=False)
+    sv = np.linalg.svd(jacobian(model.A, model.b), compute_uv=False)
     tol = RANK_TOL * sv[0]
     rank = int(np.sum(sv > tol))
     return StructureReport(
@@ -156,6 +149,5 @@ def build_model(case):
         raise DisconnectedGridError(
             f"in-service branch graph has {n_components} components"
         )
-    J, H = jacobian(A, b)
     l, n = A.shape
-    return GridModel(A=A, b=b, J=J, H=H, n=n, l=l, m=n + 2 * l)
+    return GridModel(A=A, b=b, n=n, l=l, m=n + 2 * l)

@@ -2,7 +2,9 @@
 
 The state covariance is an exponentially decaying Toeplitz matrix with
 entries rho^|i-j|.  The noise variance is recovered from a signal-to-noise
-ratio in dB via  SNR = 10 log10( tr(H Sigma_xx H^T) / (m sigma^2) ).
+ratio in dB via  SNR = 10 log10( tr(H Sigma_xx H^T) / (m sigma^2) ), where
+the signal power tr(H Sigma_xx H^T) comes from the folded factor below, not
+from an m x m covariance.
 """
 
 import sys
@@ -24,7 +26,6 @@ class ScenarioStats:
         covariance H sigma_xx H^T is (J F)(J F)^T.
     G: l x l matrix J^T sigma_yy^-1 J, built without any m x m matrix on
         first access (the uniform sweep never reads it).
-    H: the model's m x n Jacobian.
     signal_eigs: the n eigenvalues of (J F)^T (J F) in ascending order,
         i.e. the n largest eigenvalues of the signal covariance.  The Gram
         is PSD by construction, so negative eigenvalues are roundoff and
@@ -51,17 +52,14 @@ class ScenarioStats:
     precision.  At rho = 0.5 this rejects SNRs from about 146.4 dB on
     case9, 143.6 dB on case14 and 141.6 dB on case30.
 
-    ``cov_signal`` (H sigma_xx H^T, the noiseless measurement covariance
-    and the optimal attack covariance), ``sigma_yy`` (cov_signal + sigma2 I)
-    and ``sigma_yy_inv`` are the m x m matrices of the same scenario.  No
-    library path reads them; they are built on first access, as references
-    for the tests.
+    No field is an m-row matrix: the signal covariance H sigma_xx H^T and
+    sigma_yy = H sigma_xx H^T + sigma2 I enter only through F, G and the
+    folded Gram.
     """
 
     sigma_xx: np.ndarray
     sigma2: float
     F: np.ndarray
-    H: np.ndarray
     signal_eigs: np.ndarray
     # (A, K, K^T K) of the fold: G is built from the first two, and the
     # evaluator's metrics read the Gram.
@@ -78,21 +76,6 @@ class ScenarioStats:
         Y = np.linalg.solve(np.linalg.cholesky(R @ R.T + self.sigma2 * np.eye(n)), QtJ)
         return J_perp.T @ J_perp / self.sigma2 + Y.T @ Y
 
-    @cached_property
-    def cov_signal(self):
-        cov = self.H @ self.sigma_xx @ self.H.T
-        return (cov + cov.T) / 2.0
-
-    @cached_property
-    def sigma_yy(self):
-        cov = self.cov_signal + self.sigma2 * np.eye(self.H.shape[0])
-        return (cov + cov.T) / 2.0
-
-    @cached_property
-    def sigma_yy_inv(self):
-        inv = np.linalg.inv(self.sigma_yy)
-        return (inv + inv.T) / 2.0
-
 
 def toeplitz_cov(n, rho):
     """Toeplitz state covariance with entries rho^|i-j|."""
@@ -106,11 +89,13 @@ def _normal(x):
     return sys.float_info.min <= x <= sys.float_info.max
 
 
-def _noise_from_power(power, m, snr_db):
-    """sigma2 = power / (m 10^(snr_db / 10)) for a signal trace ``power``.
+def noise_variance(power, m, snr_db):
+    """sigma2 = power / (m 10^(snr_db / 10)) for a signal power
+    tr(H sigma_xx H^T) spread over m measurements.
 
-    Raises :class:`ValidationError` unless the SNR factor and sigma2 are
-    finite, positive, normal floats.
+    Raises :class:`DomainError` for a nonpositive power and
+    :class:`ValidationError` unless the SNR factor and sigma2 are finite,
+    positive, normal floats.
     """
     if power <= 0.0:
         raise DomainError(f"signal covariance has nonpositive trace {power}")
@@ -126,19 +111,6 @@ def _noise_from_power(power, m, snr_db):
     return sigma2
 
 
-def noise_variance(cov_signal, m, snr_db):
-    """Noise variance matching the requested SNR (dB) for a signal covariance."""
-    return _noise_from_power(float(np.trace(cov_signal)), m, snr_db)
-
-
-def snr_from_variance(cov_signal, m, sigma2):
-    """Inverse of :func:`noise_variance`: the SNR in dB for a noise level."""
-    trace = float(np.trace(cov_signal))
-    if trace <= 0.0 or sigma2 <= 0.0:
-        raise DomainError("trace and sigma2 must be positive")
-    return 10.0 * np.log10(trace / (m * sigma2))
-
-
 def build_scenario(model, rho, snr_db):
     """Assemble the :class:`ScenarioStats` for a grid model in O(l n^2).
 
@@ -152,7 +124,7 @@ def build_scenario(model, rho, snr_db):
     F = model.b[:, None] * (model.A @ np.linalg.cholesky(sigma_xx))
     K = np.vstack([model.A.T @ F, np.sqrt(2.0) * F])
     # ||J F||_F^2 = ||K||_F^2 = ||A^T F||_F^2 + 2 ||F||_F^2.
-    sigma2 = _noise_from_power(np.vdot(K, K), model.m, snr_db)
+    sigma2 = noise_variance(np.vdot(K, K), model.m, snr_db)
     gram = K.T @ K
     signal_eigs = np.maximum(np.linalg.eigvalsh(gram), 0.0)
     if sigma2 <= np.finfo(float).eps * signal_eigs[-1]:
@@ -162,7 +134,6 @@ def build_scenario(model, rho, snr_db):
         sigma_xx=sigma_xx,
         sigma2=sigma2,
         F=F,
-        H=model.H,
         signal_eigs=signal_eigs,
         _fold=(model.A, K, gram),
     )

@@ -6,10 +6,12 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("MKL_NUM_THREADS", "1")
 
+import sys
+
 import numpy as np
 import pytest
 
-from stealthdeg import build_model, build_scenario, load_case, parse_case
+from stealthdeg import build_model, build_scenario, grid_model, load_case, parse_case
 from stealthdeg.case_ingest import BranchRecord, GridCase
 
 RING_TEXT = """\
@@ -87,3 +89,18 @@ def case14_stats(case14_model):
 @pytest.fixture(scope="session")
 def case30_stats(case30_model):
     return build_scenario(case30_model, 0.5, 30.0)
+
+
+@pytest.fixture
+def no_jacobian(monkeypatch):
+    """Make every name the package binds ``grid_model.jacobian`` to raise, so
+    a path that builds the m-row Jacobian fails the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("this path must not build the m-row Jacobian")
+
+    original = grid_model.jacobian
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stealthdeg":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, refuse)

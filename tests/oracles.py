@@ -1,11 +1,12 @@
 """Reference routes the tests check the library against.
 
 The library computes the objective, KL and MI on one reduced n x n core
-(:class:`stealthdeg.ObjectiveEvaluator`) built from the scenario's F and G.
-The routes here compute the same quantities another way, on the m x m
-measurement covariances of :class:`stealthdeg.ScenarioStats` or through the
-delta perturbation, so the paper's identities can be checked between them.
-Nothing in the package imports this module.
+(:class:`stealthdeg.ObjectiveEvaluator`) built from the scenario's F and G,
+and holds no m-row matrix.  The routes here compute the same quantities
+another way, on the stacking matrix J, the Jacobian H and the m x m
+measurement covariances of a scenario, or through the delta perturbation,
+so the paper's identities can be checked between them.  Nothing in the
+package imports this module.
 
 For a zero-mean attack with covariance T against measurements with
 covariance sigma_yy and precision S = sigma_yy^-1:
@@ -29,6 +30,7 @@ from stealthdeg import (
     SingularityError,
     definiteness_conditions,
     delta_matrix,
+    jacobian,
     perturbed_admittance,
 )
 from stealthdeg.attack_engine import delta_from_state_cov, state_edge_cov
@@ -36,6 +38,48 @@ from stealthdeg.attack_engine import delta_from_state_cov, state_edge_cov
 # Negative eigenvalues above the error threshold are treated as roundoff and
 # clamped; below it the matrix is genuinely indefinite and surfaced.
 PSD_ERROR_SCALE = 1e-6
+
+
+# -- the m-row matrices of a model and a scenario -----------------------------
+
+def J(model):
+    """Stacking matrix J = [A; I; -I]^T, (n + 2l) x l."""
+    eye = np.eye(model.l)
+    return np.vstack([model.A.T, eye, -eye])
+
+
+def H(model):
+    """The m x n Jacobian J diag(b) A, as ``dump-model`` writes it."""
+    return jacobian(model.A, model.b)
+
+
+def cov_signal(model, stats):
+    """H sigma_xx H^T: the noiseless measurement covariance, which is also
+    the optimal attack covariance."""
+    h = H(model)
+    cov = h @ stats.sigma_xx @ h.T
+    return (cov + cov.T) / 2.0
+
+
+def sigma_yy(model, stats):
+    """Measurement covariance cov_signal + sigma2 I."""
+    cov = cov_signal(model, stats) + stats.sigma2 * np.eye(model.m)
+    return (cov + cov.T) / 2.0
+
+
+def sigma_yy_inv(model, stats):
+    """Measurement precision sigma_yy^-1, symmetrized."""
+    inv = np.linalg.inv(sigma_yy(model, stats))
+    return (inv + inv.T) / 2.0
+
+
+def snr_from_variance(cov, m, sigma2):
+    """Inverse of :func:`stealthdeg.noise_variance`: the SNR in dB of a
+    noise level against an m x m signal covariance."""
+    trace = float(np.trace(cov))
+    if trace <= 0.0 or sigma2 <= 0.0:
+        raise DomainError("trace and sigma2 must be positive")
+    return 10.0 * np.log10(trace / (m * sigma2))
 
 
 # -- m x m KL and MI ----------------------------------------------------------
@@ -101,15 +145,15 @@ def mutual_information(cov_signal, cov_attack, sigma2):
     return 0.5 * float(np.sum(np.log1p(lam)))
 
 
-def integrity_cost(cov_attack, stats):
+def integrity_cost(cov_attack, model, stats):
     """Attacker's objective: information leakage plus detectability.
 
     Convex in the attack covariance with minimum at cov_signal, the optimal
     complete-information attack.
     """
     return (
-        mutual_information(stats.cov_signal, cov_attack, stats.sigma2)
-        + kl_divergence(stats.sigma_yy_inv, cov_attack)
+        mutual_information(cov_signal(model, stats), cov_attack, stats.sigma2)
+        + kl_divergence(sigma_yy_inv(model, stats), cov_attack)
     )
 
 
@@ -122,10 +166,10 @@ def unfolded_G(model, stats):
     with J F = Q R and J_perp = J - Q Q^T J,
     G = J_perp^T J_perp / sigma2 + (Q^T J)^T (R R^T + sigma2 I)^-1 (Q^T J).
     """
-    J = model.J
-    Q, R = np.linalg.qr(J @ stats.F)
-    QtJ = Q.T @ J
-    J_perp = J - Q @ QtJ
+    stack = J(model)
+    Q, R = np.linalg.qr(stack @ stats.F)
+    QtJ = Q.T @ stack
+    J_perp = stack - Q @ QtJ
     Y = np.linalg.solve(np.linalg.cholesky(R @ R.T + stats.sigma2 * np.eye(model.n)), QtJ)
     return J_perp.T @ J_perp / stats.sigma2 + Y.T @ Y
 
@@ -157,7 +201,7 @@ class AttackArtifacts:
 def perturbed_jacobian(model, spec):
     """Jacobian the attacker would assemble, J diag((1 + phi) b) A."""
     b_prime = perturbed_admittance(model.b, spec)
-    return model.J @ (b_prime[:, None] * model.A)
+    return J(model) @ (b_prime[:, None] * model.A)
 
 
 def delta_matrix_hadamard(model, sigma_xx, spec):
@@ -181,21 +225,22 @@ def covariance_from_delta(model, sigma_xx, delta):
     ratio vector; the regime results extend to this generalized form.
     """
     W = state_edge_cov(model, sigma_xx)
-    JD = model.J * model.b
+    JD = J(model) * model.b
     return JD @ (W + delta) @ JD.T
 
 
 def attack_cov(ev, phi):
     """Attack covariance T(phi) of an evaluator's scenario through the delta
     route (m x m)."""
-    jd = ev.model.J * ev.model.b
-    return jd @ (ev.W + delta_from_state_cov(ev.W, phi)) @ jd.T
+    W = state_edge_cov(ev.model, ev.stats.sigma_xx)
+    jd = J(ev.model) * ev.model.b
+    return jd @ (W + delta_from_state_cov(W, phi)) @ jd.T
 
 
 def attack_covariances(model, stats, spec):
     """All attack-side matrices for one spec, bundled as artifacts."""
     b_prime = perturbed_admittance(model.b, spec)
-    h_prime = model.J @ (b_prime[:, None] * model.A)
+    h_prime = J(model) @ (b_prime[:, None] * model.A)
     delta = delta_matrix(model, stats.sigma_xx, spec)
     cov_incomplete = h_prime @ stats.sigma_xx @ h_prime.T
     cov_incomplete = (cov_incomplete + cov_incomplete.T) / 2.0
@@ -203,9 +248,9 @@ def attack_covariances(model, stats, spec):
         attacker_admittance=b_prime,
         attacker_jacobian=h_prime,
         delta=delta,
-        cov_optimal=stats.cov_signal,
+        cov_optimal=cov_signal(model, stats),
         cov_incomplete=cov_incomplete,
-        cov_attacked_meas=stats.sigma_yy + cov_incomplete,
+        cov_attacked_meas=sigma_yy(model, stats) + cov_incomplete,
         cov_via_delta=covariance_from_delta(model, stats.sigma_xx, delta),
     )
 
@@ -217,7 +262,7 @@ def equivalence_residual(artifacts, model):
     over max(1, ||cov_optimal||_F); approximately zero iff the admittance
     incompleteness is exactly equivalent to the delta perturbation.
     """
-    JD = model.J * model.b
+    JD = J(model) * model.b
     via_delta = artifacts.cov_optimal + JD @ artifacts.delta @ JD.T
     num = np.linalg.norm(artifacts.cov_incomplete - via_delta)
     return float(num / max(1.0, np.linalg.norm(artifacts.cov_optimal)))

@@ -44,12 +44,14 @@ from stealthdeg.regime_analysis import RegimeLabel
 from oracles import (
     attack_covariances,
     convexity_gap_on_segment,
+    cov_signal,
     covariance_from_delta,
     equivalence_residual,
     integrity_cost,
     interaction_eig_bounds,
     kl_divergence,
     mutual_information,
+    sigma_yy_inv,
 )
 
 LESS = RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE
@@ -214,9 +216,9 @@ def test_criterion_04_regime_soundness(case14_model, case14_stats):
             t = covariance_from_delta(
                 case14_model, case14_stats.sigma_xx, injected
             )
-            kl = kl_divergence(case14_stats.sigma_yy_inv, t)
+            kl = kl_divergence(sigma_yy_inv(case14_model, case14_stats), t)
             mi = mutual_information(
-                case14_stats.cov_signal, t, case14_stats.sigma2
+                cov_signal(case14_model, case14_stats), t, case14_stats.sigma2
             )
             assert kl >= kl_opt - 1e-9
             assert mi <= mi_opt + 1e-9
@@ -256,19 +258,20 @@ def test_criterion_05_sufficient_condition_suite(case9_model, case9_stats):
         assert psd_hits > 0  # uniform positive profiles must trigger the test
 
 
-def test_criterion_06_cost_local_optimality(case9_stats, case14_stats):
+def test_criterion_06_cost_local_optimality(case9_model, case9_stats,
+                                            case14_model, case14_stats):
     with criterion(6, "integrity-cost local optimality"):
         rng = np.random.default_rng(RNG_SEED_DRAWS + 4)
-        for stats in (case9_stats, case14_stats):
-            u = stats.cov_signal
-            base = integrity_cost(u, stats)
+        for model, stats in ((case9_model, case9_stats), (case14_model, case14_stats)):
+            u = cov_signal(model, stats)
+            base = integrity_cost(u, model, stats)
             for _ in range(200):
                 p = rng.standard_normal(u.shape)
                 p = (p + p.T) / 2.0
                 p /= np.abs(np.linalg.eigvalsh(p)).max()
                 w, v = np.linalg.eigh(u + 1e-3 * p)
                 candidate = (v * np.clip(w, 0.0, None)) @ v.T
-                assert base <= integrity_cost(candidate, stats) + 1e-10
+                assert base <= integrity_cost(candidate, model, stats) + 1e-10
 
 
 def test_criterion_07_greedy_oracle_gap(case9_model, oracle_run):

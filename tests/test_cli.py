@@ -379,3 +379,60 @@ def test_empty_list_is_two_without_output(argv, tmp_path):
     assert run.stderr.startswith("error: empty ")
     assert "Traceback" not in run.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["case", "spec"])
+def test_non_utf8_file_is_two_without_traceback(which, tmp_path):
+    binary = tmp_path / "bin.m"
+    binary.write_bytes(b"\xff\xfe\x00x")
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n1,0.5\n")
+    case, spec = (binary, spec) if which == "case" else ("case9", binary)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(stealthdeg.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "stealthdeg.cli", "evaluate", "--case", str(case),
+         "--rho", "0.5", "--snr-db", "30", "--spec", str(spec)],
+        capture_output=True, text=True, env=env)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: ")
+    assert "not UTF-8" in run.stderr
+    assert len(run.stderr.splitlines()) == 1
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("ratio", [
+    ["--beta", "1e300"], ["--beta", "1e154"], ["--beta", "3e153"], ["--spec", "{spec}"],
+], ids=["beta-1e300", "beta-1e154", "beta-3e153", "spec"])
+def test_classify_huge_ratio_is_three_without_warning(ratio, tmp_path, capsys):
+    # (1e300)^2 overflows delta; at 3e153 delta is finite but its norm and
+    # the sufficient-condition margins overflow.  The suite turns warnings
+    # into errors, as -W error does.
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n1,1e300\n2,3e153\n")
+    argv = ["classify", "--case", "case9", "--rho", "0.5", *(a.format(spec=spec) for a in ratio)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("dump-model", []),
+    ("classify", ["--rho", "0.5", "--beta", "0.5"]),
+    ("evaluate", [*SCENARIO[2:], "--spec", "{spec}"]),
+    ("sweep-beta", [*SCENARIO[2:], "--beta", "0:1:0.5", "--out", "{out}"]),
+    ("maximize", [*SCENARIO[2:], "--bounds", "{spec}", "--out", "{out}"]),
+    ("mtd-plan", [*SCENARIO[2:], "--bounds", "{spec}", "--out", "{out}"]),
+])
+def test_seed_only_on_drawing_subcommands(command, extra, tmp_path, capsys):
+    # Only montecarlo-alpha and sweep-k draw; elsewhere --seed is unknown.
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n1,0.5\n")
+    argv = [command, "--case", "case9",
+            *(a.format(spec=spec, out=tmp_path / "out.csv") for a in extra)]
+    if command == "dump-model":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, "--seed", "0"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --seed")

@@ -19,9 +19,11 @@ from stealthdeg.experiment_harness import sample_bounds
 from oracles import (
     attack_cov,
     convexity_gap_on_segment,
+    cov_signal,
     detectability_objective,
     kl_divergence,
     mutual_information,
+    sigma_yy_inv,
 )
 
 
@@ -59,7 +61,7 @@ class TestObjective:
         for _ in range(10):
             phi = rng.uniform(-2, 2, case30_model.l)
             via_kl = 2.0 * kl_divergence(
-                case30_stats.sigma_yy_inv, attack_cov(ev, phi)
+                sigma_yy_inv(case30_model, case30_stats), attack_cov(ev, phi)
             )
             assert ev.objective(phi) == pytest.approx(via_kl, rel=1e-10, abs=1e-10)
 
@@ -236,9 +238,9 @@ def test_metrics_match_m_level_routes(case, request):
         t = attack_cov(ev, phi)
         kl, mi = ev.metrics(phi)
         assert kl == pytest.approx(
-            kl_divergence(stats.sigma_yy_inv, t), rel=1e-10, abs=1e-12)
+            kl_divergence(sigma_yy_inv(model, stats), t), rel=1e-10, abs=1e-12)
         assert mi == pytest.approx(
-            mutual_information(stats.cov_signal, t, stats.sigma2), rel=1e-10)
+            mutual_information(cov_signal(model, stats), t, stats.sigma2), rel=1e-10)
         assert ev.objective(phi) == 2.0 * kl
 
 

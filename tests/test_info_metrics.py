@@ -8,7 +8,15 @@ from stealthdeg import (
     optimal_metrics,
 )
 
-from oracles import integrity_cost, kl_divergence, mutual_information, sym_sqrt
+from oracles import (
+    cov_signal,
+    integrity_cost,
+    kl_divergence,
+    mutual_information,
+    sigma_yy,
+    sigma_yy_inv,
+    sym_sqrt,
+)
 
 
 def random_psd(rng, n, scale=1.0):
@@ -49,9 +57,9 @@ class TestSymSqrt:
 
 
 class TestKlDivergence:
-    def test_zero_attack(self, case9_stats):
-        m = case9_stats.sigma_yy.shape[0]
-        assert kl_divergence(case9_stats.sigma_yy_inv, np.zeros((m, m))) == 0.0
+    def test_zero_attack(self, case9_model, case9_stats):
+        m = case9_model.m
+        assert kl_divergence(sigma_yy_inv(case9_model, case9_stats), np.zeros((m, m))) == 0.0
 
     @pytest.mark.parametrize("s,t", [(0.5, 3.0), (2.0, 0.25), (10.0, 10.0)])
     def test_scalar_closed_form(self, s, t):
@@ -59,13 +67,14 @@ class TestKlDivergence:
         expected = 0.5 * (s * t - np.log1p(s * t))
         assert got == pytest.approx(expected, rel=1e-14)
 
-    def test_generic_gaussian_formula_oracle(self, case30_stats):
+    def test_generic_gaussian_formula_oracle(self, case30_model, case30_stats):
         # Independent route: 1/2 ( tr(S  Sigma_att) - m - log det(S Sigma_att) )
         # with Sigma_att = sigma_yy + T evaluated by slogdet.
-        m = case30_stats.sigma_yy.shape[0]
-        t = case30_stats.cov_signal
-        got = kl_divergence(case30_stats.sigma_yy_inv, t)
-        ratio = case30_stats.sigma_yy_inv @ (case30_stats.sigma_yy + t)
+        m = case30_model.m
+        t = cov_signal(case30_model, case30_stats)
+        got = kl_divergence(sigma_yy_inv(case30_model, case30_stats), t)
+        ratio = sigma_yy_inv(case30_model, case30_stats) @ (
+            sigma_yy(case30_model, case30_stats) + t)
         sign, logdet = np.linalg.slogdet(ratio)
         assert sign > 0
         expected = 0.5 * (np.trace(ratio) - m - logdet)
@@ -97,24 +106,24 @@ class TestKlDivergence:
 
 
 class TestMutualInformation:
-    def test_no_attack_closed_form(self, case9_stats):
-        m = case9_stats.sigma_yy.shape[0]
+    def test_no_attack_closed_form(self, case9_model, case9_stats):
+        m = case9_model.m
         got = mutual_information(
-            case9_stats.cov_signal, np.zeros((m, m)), case9_stats.sigma2
+            cov_signal(case9_model, case9_stats), np.zeros((m, m)), case9_stats.sigma2
         )
         sign, logdet = np.linalg.slogdet(
-            np.eye(m) + case9_stats.cov_signal / case9_stats.sigma2
+            np.eye(m) + cov_signal(case9_model, case9_stats) / case9_stats.sigma2
         )
         assert got == pytest.approx(0.5 * logdet, rel=1e-10)
 
     def test_no_signal(self):
         assert mutual_information(np.zeros((3, 3)), np.eye(3), 0.5) == 0.0
 
-    def test_monotone_decreasing_in_masking_noise(self, case9_stats):
-        m = case9_stats.sigma_yy.shape[0]
+    def test_monotone_decreasing_in_masking_noise(self, case9_model, case9_stats):
+        m = case9_model.m
         values = [
             mutual_information(
-                case9_stats.cov_signal, (10.0 ** p) * np.eye(m), case9_stats.sigma2
+                cov_signal(case9_model, case9_stats), (10.0 ** p) * np.eye(m), case9_stats.sigma2
             )
             for p in range(0, 7)
         ]
@@ -138,33 +147,33 @@ class TestMutualInformation:
 
 
 class TestIntegrityCost:
-    def test_zero_attack_cost(self, case9_stats):
-        m = case9_stats.sigma_yy.shape[0]
-        got = integrity_cost(np.zeros((m, m)), case9_stats)
+    def test_zero_attack_cost(self, case9_model, case9_stats):
+        m = case9_model.m
+        got = integrity_cost(np.zeros((m, m)), case9_model, case9_stats)
         expected = mutual_information(
-            case9_stats.cov_signal, np.zeros((m, m)), case9_stats.sigma2
+            cov_signal(case9_model, case9_stats), np.zeros((m, m)), case9_stats.sigma2
         )
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_finite_for_psd_inputs(self, case9_stats):
+    def test_finite_for_psd_inputs(self, case9_model, case9_stats):
         rng = np.random.default_rng(5)
-        m = case9_stats.sigma_yy.shape[0]
+        m = case9_model.m
         for _ in range(10):
-            cost = integrity_cost(random_psd(rng, m, scale=100.0), case9_stats)
+            cost = integrity_cost(random_psd(rng, m, scale=100.0), case9_model, case9_stats)
             assert np.isfinite(cost)
 
-    def test_local_optimality_probe(self, case9_stats):
+    def test_local_optimality_probe(self, case9_model, case9_stats):
         # The complete-information covariance is a local minimum.
         rng = np.random.default_rng(6)
-        u = case9_stats.cov_signal
-        base = integrity_cost(u, case9_stats)
+        u = cov_signal(case9_model, case9_stats)
+        base = integrity_cost(u, case9_model, case9_stats)
         for _ in range(50):
             p = rng.standard_normal(u.shape)
             p = (p + p.T) / 2
             p /= np.abs(np.linalg.eigvalsh(p)).max()
             w, v = np.linalg.eigh(u + 1e-3 * p)
             candidate = (v * np.clip(w, 0.0, None)) @ v.T
-            assert base <= integrity_cost(candidate, case9_stats) + 1e-10
+            assert base <= integrity_cost(candidate, case9_model, case9_stats) + 1e-10
 
 
 class TestEvaluate:
@@ -182,7 +191,7 @@ class TestEvaluate:
         assert point.kl == 0.0
         m = case9_model.m
         no_attack_mi = mutual_information(
-            case9_stats.cov_signal, np.zeros((m, m)), case9_stats.sigma2
+            cov_signal(case9_model, case9_stats), np.zeros((m, m)), case9_stats.sigma2
         )
         assert point.mi == pytest.approx(no_attack_mi, rel=1e-12)
 
@@ -217,13 +226,13 @@ class TestEvaluate:
 
         art = attack_covariances(case9_model, case9_stats, spec)
         t = art.cov_via_delta
-        kl = kl_divergence(case9_stats.sigma_yy_inv, t)
-        mi = mutual_information(case9_stats.cov_signal, t, case9_stats.sigma2)
+        kl = kl_divergence(sigma_yy_inv(case9_model, case9_stats), t)
+        mi = mutual_information(cov_signal(case9_model, case9_stats), t, case9_stats.sigma2)
         rng = np.random.default_rng(7)
         perm = rng.permutation(case9_model.m)
-        s_p = case9_stats.sigma_yy_inv[np.ix_(perm, perm)]
+        s_p = sigma_yy_inv(case9_model, case9_stats)[np.ix_(perm, perm)]
         t_p = t[np.ix_(perm, perm)]
-        u_p = case9_stats.cov_signal[np.ix_(perm, perm)]
+        u_p = cov_signal(case9_model, case9_stats)[np.ix_(perm, perm)]
         assert kl_divergence(s_p, t_p) == pytest.approx(kl, rel=1e-9)
         assert mutual_information(u_p, t_p, case9_stats.sigma2) == pytest.approx(
             mi, rel=1e-9

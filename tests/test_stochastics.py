@@ -1,5 +1,3 @@
-import dataclasses
-
 import mpmath
 import numpy as np
 import pytest
@@ -12,18 +10,20 @@ from stealthdeg import (
     ValidationError,
     alpha_montecarlo,
     beta_sweep,
+    build_model,
     build_scenario,
     classify_delta,
     delta_matrix,
     evaluate,
     k_sweep,
+    load_case,
     maximize_with_oracle,
     noise_variance,
     sample_bounds,
-    snr_from_variance,
     toeplitz_cov,
 )
-from oracles import unfolded_G
+import oracles
+from oracles import cov_signal, sigma_yy, sigma_yy_inv, snr_from_variance, unfolded_G
 
 
 def test_toeplitz_rho_zero_is_identity():
@@ -54,20 +54,20 @@ def test_toeplitz_domain(rho):
 
 def test_noise_variance_values():
     cov = np.diag([1.0, 2.0, 3.0])
-    assert noise_variance(cov, 3, 0.0) == pytest.approx(2.0)
+    assert noise_variance(np.trace(cov), 3, 0.0) == pytest.approx(2.0)
     cov = np.eye(100) * 10.0
-    assert noise_variance(cov, 100, 30.0) == pytest.approx(0.01)
+    assert noise_variance(np.trace(cov), 100, 30.0) == pytest.approx(0.01)
 
 
 def test_noise_variance_domain():
     with pytest.raises(DomainError):
-        noise_variance(np.zeros((2, 2)), 2, 10.0)
+        noise_variance(np.trace(np.zeros((2, 2))), 2, 10.0)
 
 
 def test_snr_round_trip():
     cov = np.diag([4.0, 1.0, 7.0])
     for snr in (-100.0, 0.0, 12.5, 30.0):
-        sigma2 = noise_variance(cov, 3, snr)
+        sigma2 = noise_variance(np.trace(cov), 3, snr)
         assert snr_from_variance(cov, 3, sigma2) == pytest.approx(snr, abs=1e-12)
 
 
@@ -75,36 +75,38 @@ def test_build_scenario_invariants(ring_model):
     stats = build_scenario(ring_model, 0.5, 10.0)
     m = ring_model.m
     assert stats.sigma2 > 0
-    assert np.array_equal(stats.sigma_yy, stats.sigma_yy.T)
+    yy, signal = sigma_yy(ring_model, stats), cov_signal(ring_model, stats)
+    assert np.array_equal(yy, yy.T)
     # sigma_yy is cov_signal + sigma2 I by construction.
     assert np.array_equal(
-        stats.sigma_yy, (stats.cov_signal + stats.sigma2 * np.eye(m)
-                         + (stats.cov_signal + stats.sigma2 * np.eye(m)).T) / 2
+        yy, (signal + stats.sigma2 * np.eye(m)
+             + (signal + stats.sigma2 * np.eye(m)).T) / 2
     )
-    residual = np.linalg.norm(stats.sigma_yy_inv @ stats.sigma_yy - np.eye(m))
+    residual = np.linalg.norm(sigma_yy_inv(ring_model, stats) @ yy - np.eye(m))
     assert residual <= 1e-10 * m
-    eigs = np.linalg.eigvalsh(stats.cov_signal)
+    eigs = np.linalg.eigvalsh(signal)
     assert eigs[0] >= -1e-10 * max(1.0, eigs[-1])
 
 
 @pytest.mark.parametrize("fixture", ["case9_stats", "case14_stats", "case30_stats"])
 def test_scenario_inverse_residual(fixture, request):
     stats = request.getfixturevalue(fixture)
-    m = stats.sigma_yy.shape[0]
-    residual = np.linalg.norm(stats.sigma_yy_inv @ stats.sigma_yy - np.eye(m))
+    model = request.getfixturevalue(fixture.replace("_stats", "_model"))
+    m = model.m
+    residual = np.linalg.norm(sigma_yy_inv(model, stats) @ sigma_yy(model, stats) - np.eye(m))
     assert residual <= 1e-10 * m
 
 
 def test_high_noise_limit(ring_model):
     stats = build_scenario(ring_model, 0.5, -100.0)
     approx = np.eye(ring_model.m) / stats.sigma2
-    rel = np.linalg.norm(stats.sigma_yy_inv - approx) / np.linalg.norm(approx)
+    rel = np.linalg.norm(sigma_yy_inv(ring_model, stats) - approx) / np.linalg.norm(approx)
     assert rel < 0.01
 
 
 def test_snr_inversion_matches_build(case9_model, case9_stats):
     recovered = snr_from_variance(
-        case9_stats.cov_signal, case9_model.m, case9_stats.sigma2
+        cov_signal(case9_model, case9_stats), case9_model.m, case9_stats.sigma2
     )
     assert recovered == pytest.approx(30.0, abs=1e-12)
 
@@ -113,9 +115,11 @@ def test_snr_inversion_matches_build(case9_model, case9_stats):
 def test_sigma_yy_inverse(case, request):
     # case30 (m = 111) exercises the block recursion of the triangular inverse.
     stats = request.getfixturevalue(f"{case}_stats")
-    eye = np.eye(stats.sigma_yy.shape[0])
-    assert np.array_equal(stats.sigma_yy_inv, stats.sigma_yy_inv.T)
-    assert np.abs(stats.sigma_yy_inv @ stats.sigma_yy - eye).max() <= 1e-9
+    model = request.getfixturevalue(f"{case}_model")
+    inv, yy = sigma_yy_inv(model, stats), sigma_yy(model, stats)
+    eye = np.eye(model.m)
+    assert np.array_equal(inv, inv.T)
+    assert np.abs(inv @ yy - eye).max() <= 1e-9
 
 
 def test_noise_below_roundoff_is_singular(case9_model):
@@ -129,7 +133,7 @@ def test_extreme_snr_is_a_validation_error(snr_db, case9_model):
     # The SNR factor overflows, is subnormal or underflows to zero.
     cov = np.diag([4.0, 1.0, 7.0])
     with pytest.raises(ValidationError):
-        noise_variance(cov, 3, snr_db)
+        noise_variance(np.trace(cov), 3, snr_db)
     with pytest.raises(ValidationError):
         build_scenario(case9_model, 0.5, snr_db)
 
@@ -137,9 +141,9 @@ def test_extreme_snr_is_a_validation_error(snr_db, case9_model):
 def test_noise_variance_subnormal_is_a_validation_error():
     # A normal SNR factor can still give a subnormal or infinite variance.
     with pytest.raises(ValidationError):
-        noise_variance(np.diag([1e-300, 1e-300]), 2, 100.0)
+        noise_variance(2e-300, 2, 100.0)
     with pytest.raises(ValidationError):
-        noise_variance(np.diag([1e300, 1e300]), 2, -100.0)
+        noise_variance(2e300, 2, -100.0)
 
 
 @pytest.mark.parametrize("case", ["case9", "case14", "case30"])
@@ -165,7 +169,7 @@ def test_G_and_objective_match_mpmath(snr_db, case9_model):
     stats = build_scenario(model, 0.5, snr_db)
     with mpmath.workdps(60):
         sigma_xx = _mp_matrix(stats.sigma_xx)
-        H, J = _mp_matrix(model.H), _mp_matrix(model.J)
+        H, J = _mp_matrix(oracles.H(model)), _mp_matrix(oracles.J(model))
         sigma_yy = H * sigma_xx * H.T + mpmath.mpf(stats.sigma2) * mpmath.eye(model.m)
         G = J.T * mpmath.inverse(sigma_yy) * J
         G_ref = np.array(G.tolist(), dtype=float)
@@ -194,7 +198,7 @@ def _mp_uniform_metrics(model, stats, betas):
     """
     with mpmath.workdps(50):
         F = _mp_matrix(model.b[:, None] * model.A) * mpmath.cholesky(_mp_matrix(stats.sigma_xx))
-        K = _mp_matrix(model.J) * F
+        K = _mp_matrix(oracles.J(model)) * F
         gram = K.T * K
         noise = mpmath.mpf(stats.sigma2) * mpmath.eye(model.n)
 
@@ -268,7 +272,7 @@ def test_signal_eigs_match_mpmath(case, request):
     stats = request.getfixturevalue(f"{case}_stats")
     with mpmath.workdps(50):
         F = _mp_matrix(model.b[:, None] * model.A) * mpmath.cholesky(_mp_matrix(stats.sigma_xx))
-        K = _mp_matrix(model.J) * F
+        K = _mp_matrix(oracles.J(model)) * F
         ref = np.sort([float(x) for x in mpmath.eigsy(K.T * K, eigvals_only=True)])
     # A backward-stable symmetric eigensolver errs by O(n eps ||K^T K||).
     err = np.abs(stats.signal_eigs - ref).max()
@@ -288,9 +292,9 @@ def test_baseline_matches_mpmath(snr_db, case9_model):
     assert abs(ev.objective_at_zero() - 2.0 * kl) <= 2e-14 * kl
 
 
-def test_library_paths_need_neither_J_nor_H(case30_model):
+def test_library_paths_need_neither_J_nor_H(case30_model, no_jacobian):
     full = case30_model
-    bare = dataclasses.replace(full, J=None, H=None)
+    bare = build_model(load_case("case30"))
     stats, full_stats = build_scenario(bare, 0.5, 30.0), build_scenario(full, 0.5, 30.0)
     betas = [-2.5, -1.0, 0.0, 0.4]
     assert beta_sweep(bare, stats, betas) == beta_sweep(full, full_stats, betas)

@@ -15,8 +15,10 @@ from .attack_engine import (
 )
 from .case_ingest import BranchRecord, GridCase, load_case, parse_case
 from .degradation_opt import (
+    MetricsPoint,
     ObjectiveEvaluator,
     OptimizationResult,
+    evaluate,
     exhaustive_maximize,
     greedy_maximize,
     maximize_with_oracle,
@@ -48,11 +50,6 @@ from .grid_model import (
     incidence_matrix,
     jacobian,
     susceptance_diag,
-)
-from .info_metrics import (
-    MetricsPoint,
-    evaluate,
-    optimal_metrics,
 )
 from .regime_analysis import (
     RegimeLabel,

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import attack_engine, degradation_opt, experiment_harness, info_metrics
+from . import attack_engine, degradation_opt, experiment_harness
 from .case_ingest import load_case
 from .degradation_opt import _finite
 from .errors import (
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .experiment_harness import fmt17
 from .grid_model import build_model, jacobian
-from .regime_analysis import classify_delta, definiteness_conditions
+from .regime_analysis import _label_of_eigs, definiteness_conditions
 from .stochastics import build_scenario, toeplitz_cov
 
 _NUMERICAL_ERRORS = (NotPSDError, SingularityError, DomainError,
@@ -155,10 +155,9 @@ def _cmd_classify(args):
         delta = attack_engine.delta_matrix(model, sigma_xx, spec)
         sym = _finite((delta + delta.T) / 2.0, "the perturbation delta")
         eigs = _finite(np.linalg.eigvalsh(sym), "an eigenvalue of delta")
-        label = classify_delta(delta)
         conditions = definiteness_conditions(spec.phi)
     _finite([conditions.lhs_psd, conditions.lhs_nsd], "a sufficient-condition margin")
-    print(f"regime = {label.value}")
+    print(f"regime = {_label_of_eigs(eigs).value}")
     print(f"delta_eig_min = {fmt17(eigs[0])}")
     print(f"delta_eig_max = {fmt17(eigs[-1])}")
     print(f"sufficient_psd_lhs = {fmt17(conditions.lhs_psd)} "
@@ -172,7 +171,7 @@ def _cmd_evaluate(args):
     model = _model_for(args)
     stats = _scenario_for(args, model)
     spec = _read_spec(args.spec, model.l)
-    point = info_metrics.evaluate(model, stats, spec)
+    point = degradation_opt.evaluate(model, stats, spec)
     print(f"kl_nats = {fmt17(point.kl)}")
     print(f"mi_nats = {fmt17(point.mi)}")
     print(f"kl_opt_nats = {fmt17(point.kl_opt)}")

@@ -1,10 +1,15 @@
 """Maximal degradation of attack stealth over box-bounded ratio vectors.
 
-The detectability objective
+A zero-mean attack with covariance T(phi) against measurements with
+covariance sigma_yy (S = sigma_yy^-1) is scored in nats by the KL divergence
+between attacked and clean measurement laws, its detectability, and by the
+information the operator still obtains about the states:
 
-    f(phi) = -log|I + S^1/2 T(phi) S^1/2| + tr(S^1/2 T(phi) S^1/2)
+    f(phi) = 2 kl = -log|I + S^1/2 T S^1/2| + tr(S^1/2 T S^1/2),
+    mi = 1/2 log|I + U^1/2 (sigma2 I + T)^-1 U^1/2|,   U = H sigma_xx H^T.
 
-(twice the KL divergence) is convex in phi, so its maximum over the box
+``evaluate`` reports both next to their optima at phi = 0 (complete
+information).  The objective f is convex in phi, so its maximum over the box
 phi_min <= phi <= phi_max sits at a vertex.  ``exhaustive_maximize``
 enumerates the up-to-2^k vertices lazily and scores them in stacks;
 ``greedy_maximize`` picks one bound per coordinate in a single ascending
@@ -65,16 +70,6 @@ def _finite(values, context):
     if not np.isfinite(values).all():
         raise SingularityError(f"{context} is not finite")
     return values
-
-
-def _logdet_pd(mat, context):
-    """log|mat| of a positive-definite matrix, or of a stack of them, from
-    Cholesky pivots."""
-    pivots = np.diagonal(np.linalg.cholesky(mat), axis1=-2, axis2=-1)
-    logdet = 2.0 * np.log(pivots).sum(axis=-1)
-    if not np.isfinite(logdet).all():
-        raise SingularityError(f"{context} has a non-finite log-determinant")
-    return logdet[()]
 
 
 def _x_minus_log1p(x):
@@ -251,12 +246,16 @@ class ObjectiveEvaluator:
             for s in range(0, len(lows), _SWEEP_BLOCK)])
 
     def _origin_state(self):
-        """((I + M0)^-1, tr M0, log|I + M0|) at phi = 0 (cached)."""
+        """((I + M0)^-1, tr M0, log|I + M0|) at phi = 0 (cached), from
+        M0 = V diag(lam) V^T with V the eigenvectors of the folded Gram and
+        lam as in :func:`uniform_metrics`: F^T G F would cancel at high SNR.
+        """
         if self._origin is None:
-            m0 = self._F.T @ self._G @ self._F
-            inv = np.linalg.inv(self._eye + m0)
-            self._origin = ((inv + inv.T) / 2.0, float(np.trace(m0)),
-                            _logdet_pd(self._eye + m0, "I + M"))
+            mu, V = np.linalg.eigh(self._JF_gram)
+            mu = np.maximum(mu, 0.0) / self.stats.sigma2
+            lam = mu / (1.0 + mu)
+            self._origin = ((V / (1.0 + lam)) @ V.T, float(lam.sum()),
+                            float(np.log1p(lam).sum()))
         return self._origin
 
     def _sweep(self, lows, highs, refine):
@@ -312,6 +311,23 @@ class ObjectiveEvaluator:
             if not changed.any():
                 break
         return phi, trace, logdet
+
+
+@dataclass(frozen=True)
+class MetricsPoint:
+    """KL divergence and mutual information (nats) plus their optima."""
+
+    kl: float
+    mi: float
+    kl_opt: float
+    mi_opt: float
+
+
+def evaluate(model, stats, spec):
+    """Metrics of the incomplete-information attack described by ``spec``,
+    next to those of the complete-information attack (phi = 0)."""
+    ev = ObjectiveEvaluator(model, stats)
+    return MetricsPoint(*ev.metrics(spec.phi), *ev.baseline())
 
 
 def vertex_profiles(spec, cap=ENUMERATION_CAP):

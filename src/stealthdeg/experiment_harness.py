@@ -20,7 +20,6 @@ Both Monte-Carlo drivers run one trial loop, which draws each box straight
 into a row of (trials, l) bound arrays and builds no per-trial spec object.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +50,6 @@ def trial_rng(seed, trial):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def vertex_digest(phi):
-    """Stable short hash of a chosen vertex (its fmt17 cells, comma-joined)."""
-    values = np.asarray(phi, dtype=float).tolist()
-    payload = (",".join(["%.17g"] * len(values)) % tuple(values)).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class BetaRow:
     beta: float
@@ -70,9 +62,8 @@ class BetaRow:
 class TrialRecord:
     """One Monte-Carlo trial: budget, chosen vertex metrics and regime.
 
-    The chosen vertex is kept as its float64 bytes, which take less memory
-    than a tuple of floats; no CSV prints it, so its digest is derived on
-    access.
+    The chosen vertex is kept as float64 bytes, smaller than a tuple of
+    floats; no CSV prints it, and ``phi_star`` views it as a read-only array.
     """
 
     trial_id: int
@@ -86,8 +77,8 @@ class TrialRecord:
     _vertex: bytes = field(repr=False)
 
     @property
-    def phi_star_digest(self):
-        return vertex_digest(np.frombuffer(self._vertex))
+    def phi_star(self):
+        return np.frombuffer(self._vertex)
 
 
 def beta_sweep(model, stats, beta_grid):

@@ -26,8 +26,9 @@ class RegimeLabel(enum.Enum):
 class DefinitenessConditions:
     """Sufficient-condition margins for the perturbation's sign.
 
-    cond_psd holds when  phi^T 1 - sqrt(|phi|^2 l) >= 0  (then the
-    perturbation is PSD); cond_nsd when
+    cond_psd holds when  phi^T 1 - sqrt(|phi|^2 l) >= -tol  (then the
+    perturbation is PSD), tol = CLASSIFY_TOL_SCALE sqrt(|phi|^2 l) as the
+    margin is exactly 0 on the uniform family; cond_nsd holds when
     phi^T phi + phi^T 1 + sqrt(|phi|^2 l) <= 0  (then NSD).  The conditions
     are sufficient only: they require phi proportional to the ones vector.
     """
@@ -55,7 +56,11 @@ def classify_delta(delta, tol_scale=CLASSIFY_TOL_SCALE):
     bound = 2.0 * tol_scale * max(1.0, float(np.linalg.norm(sym)))
     if diag.min() < -bound and diag.max() > bound:
         return RegimeLabel.INDEFINITE
-    w = np.linalg.eigvalsh(sym)
+    return _label_of_eigs(np.linalg.eigvalsh(sym), tol_scale)
+
+
+def _label_of_eigs(w, tol_scale=CLASSIFY_TOL_SCALE):
+    """Label of a symmetric matrix from its ascending eigenvalues ``w``."""
     tol = tol_scale * max(1.0, float(np.abs(w).max()))
     psd = w[0] >= -tol
     nsd = w[-1] <= tol
@@ -82,7 +87,7 @@ def definiteness_conditions(phi):
     lhs_psd = dot_ones - cross
     lhs_nsd = sq + dot_ones + cross
     return DefinitenessConditions(
-        cond_psd=lhs_psd >= 0.0,
+        cond_psd=lhs_psd >= -CLASSIFY_TOL_SCALE * cross,
         cond_nsd=lhs_nsd <= 0.0,
         lhs_psd=lhs_psd,
         lhs_nsd=lhs_nsd,

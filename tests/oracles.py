@@ -5,7 +5,8 @@ The library computes the objective, KL and MI on one reduced n x n core
 and holds no m-row matrix.  The routes here compute the same quantities
 another way, on the stacking matrix J, the Jacobian H and the m x m
 measurement covariances of a scenario, or through the delta perturbation,
-so the paper's identities can be checked between them.  Nothing in the
+so the paper's identities can be checked between them.  ``vertex_digest``
+hashes a chosen vertex, for comparing vertices across runs.  Nothing in the
 package imports this module.
 
 For a zero-mean attack with covariance T against measurements with
@@ -19,6 +20,7 @@ covariance and take log-determinants from eigenvalues of the symmetrized
 m x m inner matrices.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,3 +315,12 @@ def convexity_gap_on_segment(model, stats, phi_a, phi_b, steps=50, *, evaluator=
         violation = ev.objective(mixed) - (theta * f_a + (1.0 - theta) * f_b)
         worst = max(worst, violation)
     return float(worst)
+
+
+# -- vertices -----------------------------------------------------------------
+
+def vertex_digest(phi):
+    """Stable short hash of a chosen vertex (its fmt17 cells, comma-joined)."""
+    values = np.asarray(phi, dtype=float).tolist()
+    payload = (",".join(["%.17g"] * len(values)) % tuple(values)).encode()
+    return hashlib.sha256(payload).hexdigest()[:16]

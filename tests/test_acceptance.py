@@ -24,7 +24,6 @@ from stealthdeg import (
     evaluate,
     load_case,
     maximize_with_oracle,
-    optimal_metrics,
     sample_bounds,
 )
 from stealthdeg.attack_engine import state_edge_cov
@@ -33,7 +32,6 @@ from stealthdeg.experiment_harness import (
     alpha_montecarlo,
     beta_sweep,
     fmt17,
-    vertex_digest,
     write_alpha_csv,
     write_beta_csv,
     k_sweep,
@@ -52,6 +50,7 @@ from oracles import (
     kl_divergence,
     mutual_information,
     sigma_yy_inv,
+    vertex_digest,
 )
 
 LESS = RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE
@@ -172,7 +171,7 @@ def test_criterion_03_uniform_sweep_shape(case30_model, case30_stats,
         assert len(rows) == 201
         kl = np.array([r.kl for r in rows])
         mi = np.array([r.mi for r in rows])
-        kl_opt, mi_opt = optimal_metrics(case30_model, case30_stats)
+        kl_opt, mi_opt = ObjectiveEvaluator(case30_model, case30_stats).baseline()
         for i in range(201):
             assert abs(kl[i] - kl[200 - i]) <= 1e-9 * max(1.0, kl[i])
         assert kl[100] <= 1e-12                       # beta = -1
@@ -185,8 +184,7 @@ def test_criterion_03_uniform_sweep_shape(case30_model, case30_stats,
 
 def test_criterion_04_regime_soundness(case14_model, case14_stats):
     with criterion(4, "regime ordering soundness"):
-        baseline = optimal_metrics(case14_model, case14_stats)
-        kl_opt, mi_opt = baseline
+        kl_opt, mi_opt = ObjectiveEvaluator(case14_model, case14_stats).baseline()
         rng = np.random.default_rng(RNG_SEED_DRAWS + 2)
         psd_betas = np.concatenate(
             [rng.uniform(0.0, 2.0, 100), rng.uniform(-4.0, -2.0, 100)]
@@ -196,7 +194,6 @@ def test_criterion_04_regime_soundness(case14_model, case14_stats):
             point = evaluate(
                 case14_model, case14_stats,
                 IncompletenessSpec.uniform(case14_model.l, float(beta)),
-                baseline=baseline,
             )
             assert classify_uniform_ratio(float(beta)) in (LESS, RegimeLabel.BOUNDARY)
             assert point.kl >= kl_opt - 1e-9
@@ -205,7 +202,6 @@ def test_criterion_04_regime_soundness(case14_model, case14_stats):
             point = evaluate(
                 case14_model, case14_stats,
                 IncompletenessSpec.uniform(case14_model.l, float(beta)),
-                baseline=baseline,
             )
             assert point.kl <= kl_opt + 1e-9
             assert point.mi >= mi_opt - 1e-9

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import stealthdeg
-from stealthdeg import NotPSDError
+from stealthdeg import (
+    IncompletenessSpec,
+    NotPSDError,
+    classify_delta,
+    delta_matrix,
+    toeplitz_cov,
+)
 from stealthdeg.case_ingest import bundled_case_text
 from stealthdeg.cli import (
     RANGE_POINT_CAP,
@@ -102,6 +108,40 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "regime = LESS_STEALTHY_MORE_DESTRUCTIVE" in out
         assert "sufficient_psd_lhs" in out
+
+    def test_classify_uniform_positive_holds_psd(self, capsys):
+        assert main(["classify", "--case", "case9", "--rho", "0.5",
+                     "--beta", "0.08"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith("sufficient_psd_lhs = ")
+        assert lines[3].endswith("(holds: True)")
+
+    @pytest.mark.parametrize("source", ["0.5", "-0.8", "0", "spec"])
+    def test_classify_decomposes_delta_once(self, source, case9_model, tmp_path,
+                                            monkeypatch, capsys):
+        model = case9_model
+        if source == "spec":
+            phi = np.linspace(-0.5, 0.5, model.l)
+            path = tmp_path / "spec.csv"
+            path.write_text("branch_index,phi\n" + "".join(
+                f"{i + 1},{p:.17g}\n" for i, p in enumerate(phi)))
+            spec, args = IncompletenessSpec.from_phi(phi), ["--spec", str(path)]
+        else:
+            spec = IncompletenessSpec.uniform(model.l, float(source))
+            args = [f"--beta={source}"]
+        eigvalsh, calls = np.linalg.eigvalsh, []
+
+        def counting(mat):
+            calls.append(mat)
+            return eigvalsh(mat)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert main(["classify", "--case", "case9", "--rho", "0.5", *args]) == 0
+        monkeypatch.undo()
+        assert len(calls) == 1
+        delta = delta_matrix(model, toeplitz_cov(model.n, 0.5), spec)
+        label = capsys.readouterr().out.splitlines()[0]
+        assert label == f"regime = {classify_delta(delta).value}"
 
     def test_classify_needs_exactly_one_input(self, bounds_file, capsys):
         assert main(["classify", "--case", "case9", "--rho", "0.5"]) == 2

@@ -10,7 +10,6 @@ from stealthdeg import (
     exhaustive_maximize,
     greedy_maximize,
     maximize_with_oracle,
-    optimal_metrics,
     vertex_profiles,
 )
 from stealthdeg.degradation_opt import VertexChoice
@@ -37,7 +36,7 @@ def bounds_spec(l, support, lo, hi):
 
 class TestObjective:
     def test_zero_ratio_is_twice_kl_opt(self, case9_model, case9_stats):
-        kl_opt, _ = optimal_metrics(case9_model, case9_stats)
+        kl_opt, _ = ObjectiveEvaluator(case9_model, case9_stats).baseline()
         got = detectability_objective(case9_model, case9_stats, np.zeros(case9_model.l))
         assert got == pytest.approx(2.0 * kl_opt, rel=1e-10)
 

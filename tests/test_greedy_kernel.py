@@ -17,6 +17,7 @@ from stealthdeg import (
     ObjectiveEvaluator,
     SingularityError,
     beta_sweep,
+    build_scenario,
     exhaustive_maximize,
     greedy_maximize,
 )
@@ -102,6 +103,18 @@ def test_maintained_trace_and_logdet_match_recomputation(case, scenario):
             m = c.T @ ev._G @ c
             assert tr == pytest.approx(np.trace(m), rel=1e-12)
             assert ld == pytest.approx(np.linalg.slogdet(np.eye(model.n) + m)[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 70.0, 90.0])
+@pytest.mark.parametrize("case", CASES)
+def test_origin_state_matches_closed_form(case, snr_db, scenario):
+    # The sweep's starting point, tr M0 - log|I + M0|, is the objective at
+    # phi = 0; forming F^T G F would cancel at high SNR.
+    model = scenario[case][0]
+    ev = ObjectiveEvaluator(model, build_scenario(model, 0.5, snr_db))
+    _, trace, logdet = ev._origin_state()
+    at_zero = ev.objective_at_zero()
+    assert abs((trace - logdet) - at_zero) <= 1e-14 * at_zero
 
 
 def test_non_finite_score_raises(case9_model, case9_stats):

@@ -3,13 +3,13 @@ import pytest
 
 from stealthdeg import (
     IncompletenessSpec,
+    ObjectiveEvaluator,
     RegimeLabel,
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
     delta_matrix,
     evaluate,
-    optimal_metrics,
 )
 from stealthdeg.attack_engine import state_edge_cov
 
@@ -74,6 +74,21 @@ class TestDefinitenessConditions:
     def test_two_distinct_entries_fail_both(self):
         checks = definiteness_conditions(np.array([0.5, 0.2, 0.0]))
         assert not checks.cond_psd and not checks.cond_nsd
+
+    def test_uniform_family_holds_psd_despite_roundoff(self):
+        # phi^T 1 = sqrt(|phi|^2 l) exactly on the uniform family, so
+        # without a tolerance roundoff alone decides the margin's sign.
+        for l in (9, 20, 41):
+            for beta in np.linspace(0.01, 3.0, 300):
+                assert definiteness_conditions(np.full(l, beta)).cond_psd
+
+    @pytest.mark.parametrize("move", [1e-3, -1e-3])
+    def test_one_moved_coordinate_fails_psd(self, move):
+        for l in (9, 20, 41):
+            for beta in np.linspace(0.01, 3.0, 300):
+                phi = np.full(l, beta)
+                phi[l // 2] += move
+                assert not definiteness_conditions(phi).cond_psd
 
     def test_zero_vector_sits_on_both_boundaries(self):
         checks = definiteness_conditions(np.zeros(5))
@@ -154,7 +169,6 @@ class TestSoundness:
                 assert label in (MORE, RegimeLabel.BOUNDARY)
 
     def test_regime_orders_metrics_uniform_family(self, case14_model, case14_stats):
-        baseline = optimal_metrics(case14_model, case14_stats)
         rng = np.random.default_rng(3)
         betas = np.concatenate([
             rng.uniform(0.0, 2.0, 20),
@@ -165,7 +179,6 @@ class TestSoundness:
             point = evaluate(
                 case14_model, case14_stats,
                 IncompletenessSpec.uniform(case14_model.l, float(beta)),
-                baseline=baseline,
             )
             label = classify_uniform_ratio(float(beta))
             if label is LESS:
@@ -179,7 +192,7 @@ class TestSoundness:
         # The ordering holds for any PSD perturbation injected directly,
         # bypassing the ratio construction.
         rng = np.random.default_rng(4)
-        kl_opt, mi_opt = optimal_metrics(case14_model, case14_stats)
+        kl_opt, mi_opt = ObjectiveEvaluator(case14_model, case14_stats).baseline()
         l = case14_model.l
         w = state_edge_cov(case14_model, case14_stats.sigma_xx)
         for _ in range(30):

@@ -9,6 +9,7 @@ deliberately ignored (pure series-susceptance DC model).
 """
 
 import math
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,7 +39,8 @@ class GridCase:
     """Validated case data: bus ids, branch list, MVA base, reference bus.
 
     Bus ids keep their external (possibly non-contiguous) numbering; use
-    :meth:`bus_positions` for the dense 0-based re-indexing.
+    :meth:`bus_positions` for the dense 0-based re-indexing.  Construction
+    is the one place a case is validated.
     """
 
     base_mva: float
@@ -73,7 +75,7 @@ class GridCase:
                         "service with zero reactance"
                     )
         if in_service == 0:
-            raise ValidationError("no in-service branch")
+            raise EmptyGridError("no in-service branch")
 
     def bus_positions(self):
         """Map external bus id -> dense 0-based column position."""
@@ -103,60 +105,46 @@ def _parse_row(tokens, lineno, block, columns):
 
 
 def _scan_blocks(text):
-    """Yield (kind, payload, lineno): ('basemva', value) or (block, rows)."""
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = _strip_comment(lines[i]).strip()
-        i += 1
-        if not line:
-            continue
-        if line.startswith("mpc.") and "=" in line:
-            name = line[len("mpc."):line.index("=")].strip()
-            rhs = line[line.index("=") + 1:].strip()
-            if name == "baseMVA":
-                value = rhs.rstrip(";").strip()
-                try:
-                    number = float(value)
-                except ValueError:
-                    raise CaseSyntaxError(
-                        f"baseMVA is not a number: {value!r}", lineno
-                    ) from None
-                yield "basemva", number, lineno
-                continue
-            if rhs.startswith("["):
-                # Matrix block, possibly spanning lines; ';' terminates a row.
-                rows, tokens = [], []
-                chunk, start = rhs[1:], lineno
-                while True:
-                    closed = "]" in chunk
-                    body = chunk[:chunk.index("]")] if closed else chunk
-                    pieces = body.split(";")
-                    for piece in pieces[:-1]:
-                        tokens.extend(piece.split())
-                        if tokens:
-                            rows.append((tokens, lineno))
-                        tokens = []
-                    tokens.extend(pieces[-1].split())
-                    if closed:
-                        if tokens:
-                            rows.append((tokens, lineno))
-                        break
-                    if i >= len(lines):
-                        raise CaseSyntaxError(
-                            f"unterminated mpc.{name} block", start
-                        )
-                    lineno = i + 1
-                    chunk = _strip_comment(lines[i])
-                    i += 1
-                if name in _BLOCKS_READ:
-                    yield name, rows, start
-                continue
-            # Scalar/string assignment we do not consume (e.g. mpc.version).
-            continue
+    """Yield (name, payload): ('baseMVA', value), or (block, rows) for a
+    block in ``_BLOCKS_READ`` with each row as (tokens, lineno).
+
+    A block runs from ``[`` to the first ``]``, over as many lines as it
+    takes; ``;`` ends a row, and a row's line is that of the ``;`` or ``]``
+    ending it.  Text after the ``]`` on its line is ignored.
+    """
+    lines = enumerate(text.splitlines(), 1)
+    for lineno, raw in lines:
+        line = _strip_comment(raw).strip()
         # Function headers, 'end', stray text: skipped.
-    return
+        if not line.startswith("mpc.") or "=" not in line:
+            continue
+        name, _, rhs = line[len("mpc."):].partition("=")
+        name, rhs = name.strip(), rhs.strip()
+        if name == "baseMVA":
+            value = rhs.rstrip(";").strip()
+            try:
+                number = float(value)
+            except ValueError:
+                raise CaseSyntaxError(
+                    f"baseMVA is not a number: {value!r}", lineno
+                ) from None
+            yield name, number
+        elif rhs.startswith("["):
+            chunks = [rhs[1:]]
+            while "]" not in chunks[-1]:
+                more = next(lines, None)
+                if more is None:
+                    raise CaseSyntaxError(f"unterminated mpc.{name} block", lineno)
+                chunks.append(_strip_comment(more[1]))
+            if name in _BLOCKS_READ:
+                body = "\n".join(chunks)
+                rows, end = [], lineno
+                for piece in body[:body.index("]")].split(";"):
+                    end += piece.count("\n")
+                    tokens = piece.split()
+                    if tokens:
+                        rows.append((tokens, end))
+                yield name, rows
 
 
 def parse_case(text):
@@ -164,27 +152,16 @@ def parse_case(text):
 
     The reference bus is the first bus whose type column equals 3 (slack);
     if none is marked, the first declared bus is used.  Out-of-service
-    branches are retained with ``status=False``.
+    branches are retained with ``status=False``.  When a block is assigned
+    twice, the last assignment wins.
     """
-    base_mva = None
-    bus_rows = branch_rows = None
-    for kind, payload, lineno in _scan_blocks(text):
-        if kind == "basemva":
-            base_mva = payload
-        elif kind == "bus":
-            bus_rows = payload
-        elif kind == "branch":
-            branch_rows = payload
-
-    if base_mva is None:
-        raise ValidationError("missing mpc.baseMVA assignment")
-    if bus_rows is None:
-        raise ValidationError("missing mpc.bus block")
-    if branch_rows is None:
-        raise ValidationError("missing mpc.branch block")
+    blocks = dict(_scan_blocks(text))
+    for name, what in (("baseMVA", "assignment"), ("bus", "block"), ("branch", "block")):
+        if name not in blocks:
+            raise ValidationError(f"missing mpc.{name} {what}")
 
     buses, reference = [], None
-    for tokens, lineno in bus_rows:
+    for tokens, lineno in blocks["bus"]:
         bus_id, bus_type = (int(v) for v in _parse_row(tokens, lineno, "bus", (0, 1)))
         buses.append(bus_id)
         if bus_type == 3 and reference is None:
@@ -193,7 +170,7 @@ def parse_case(text):
         reference = buses[0]
 
     branches = []
-    for tokens, lineno in branch_rows:
+    for tokens, lineno in blocks["branch"]:
         from_bus, to_bus, x, status = _parse_row(tokens, lineno, "branch", (0, 1, 3, 10))
         branches.append(
             BranchRecord(
@@ -205,7 +182,7 @@ def parse_case(text):
         )
 
     return GridCase(
-        base_mva=base_mva,
+        base_mva=blocks["baseMVA"],
         buses=tuple(buses),
         branches=tuple(branches),
         reference_bus=reference,
@@ -214,10 +191,7 @@ def parse_case(text):
 
 def in_service_branches(case):
     """In-service branches in file order; this defines branch indexing."""
-    kept = tuple(br for br in case.branches if br.status)
-    if not kept:
-        raise EmptyGridError("no in-service branch")
-    return kept
+    return tuple(br for br in case.branches if br.status)
 
 
 def render_case(case):
@@ -255,7 +229,8 @@ def bundled_case_text(name):
 
 
 def load_case(path_or_name):
-    """Load a case from a filesystem path, else fall back to a bundled case.
+    """Load a case from a filesystem path.  A name with no directory part
+    that names no file falls back to the bundled case of that name.
 
     The file must be UTF-8 text; other bytes raise :class:`CaseSyntaxError`.
     """
@@ -268,10 +243,9 @@ def load_case(path_or_name):
         raise CaseSyntaxError(f"case file is not UTF-8 text (byte {exc.start})") from None
     else:
         return parse_case(text)
-    base = str(path_or_name).rsplit("/", 1)[-1]
-    try:
-        return parse_case(bundled_case_text(base))
-    except FileNotFoundError:
-        raise FileNotFoundError(
-            f"case file not found: {path_or_name}"
-        ) from None
+    if not os.path.dirname(path_or_name):
+        try:
+            return parse_case(bundled_case_text(str(path_or_name)))
+        except FileNotFoundError:
+            pass
+    raise FileNotFoundError(f"case file not found: {path_or_name}")

@@ -20,7 +20,7 @@ class ValidationError(StealthdegError):
 
 
 class EmptyGridError(ValidationError):
-    """No in-service branch remains after filtering."""
+    """A case has no in-service branch."""
 
 
 class DisconnectedGridError(ValidationError):

@@ -39,7 +39,7 @@ class DefinitenessConditions:
     lhs_nsd: float
 
 
-def classify_delta(delta, tol_scale=CLASSIFY_TOL_SCALE):
+def classify_delta(delta):
     """Label a symmetric perturbation by its Loewner sign.
 
     PSD and NSD are decided against a scale-relative tolerance; passing
@@ -53,15 +53,15 @@ def classify_delta(delta, tol_scale=CLASSIFY_TOL_SCALE):
     """
     sym = (delta + delta.T) / 2.0
     diag = np.diagonal(sym)
-    bound = 2.0 * tol_scale * max(1.0, float(np.linalg.norm(sym)))
+    bound = 2.0 * CLASSIFY_TOL_SCALE * max(1.0, float(np.linalg.norm(sym)))
     if diag.min() < -bound and diag.max() > bound:
         return RegimeLabel.INDEFINITE
-    return _label_of_eigs(np.linalg.eigvalsh(sym), tol_scale)
+    return _label_of_eigs(np.linalg.eigvalsh(sym))
 
 
-def _label_of_eigs(w, tol_scale=CLASSIFY_TOL_SCALE):
+def _label_of_eigs(w):
     """Label of a symmetric matrix from its ascending eigenvalues ``w``."""
-    tol = tol_scale * max(1.0, float(np.abs(w).max()))
+    tol = CLASSIFY_TOL_SCALE * max(1.0, float(np.abs(w).max()))
     psd = w[0] >= -tol
     nsd = w[-1] <= tol
     if psd and nsd:

@@ -6,7 +6,8 @@ and holds no m-row matrix.  The routes here compute the same quantities
 another way, on the stacking matrix J, the Jacobian H and the m x m
 measurement covariances of a scenario, or through the delta perturbation,
 so the paper's identities can be checked between them.  ``vertex_digest``
-hashes a chosen vertex, for comparing vertices across runs.  Nothing in the
+hashes a chosen vertex, for comparing vertices across runs, and
+``scan_blocks_reference`` is the earlier case-file scanner.  Nothing in the
 package imports this module.
 
 For a zero-mean attack with covariance T against measurements with
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from stealthdeg import (
+    CaseSyntaxError,
     DomainError,
     NotPSDError,
     ObjectiveEvaluator,
@@ -324,3 +326,67 @@ def vertex_digest(phi):
     values = np.asarray(phi, dtype=float).tolist()
     payload = (",".join(["%.17g"] * len(values)) % tuple(values)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
+
+
+# -- case files ---------------------------------------------------------------
+
+def scan_blocks_reference(text):
+    """The line-by-line case scanner that ``case_ingest._scan_blocks``
+    replaced, kept as its reference.
+
+    Yields ('basemva', value, lineno) and, for the bus and branch blocks,
+    (block, rows, lineno) with each row as (tokens, lineno); raises
+    :class:`CaseSyntaxError` as the library scanner does.
+    """
+    def strip_comment(line):
+        cut = line.find("%")
+        return line if cut < 0 else line[:cut]
+
+    lines = text.splitlines()
+    i = 0
+    while i < len(lines):
+        lineno = i + 1
+        line = strip_comment(lines[i]).strip()
+        i += 1
+        if not line:
+            continue
+        if line.startswith("mpc.") and "=" in line:
+            name = line[len("mpc."):line.index("=")].strip()
+            rhs = line[line.index("=") + 1:].strip()
+            if name == "baseMVA":
+                value = rhs.rstrip(";").strip()
+                try:
+                    number = float(value)
+                except ValueError:
+                    raise CaseSyntaxError(
+                        f"baseMVA is not a number: {value!r}", lineno
+                    ) from None
+                yield "basemva", number, lineno
+                continue
+            if rhs.startswith("["):
+                # Matrix block, possibly spanning lines; ';' terminates a row.
+                rows, tokens = [], []
+                chunk, start = rhs[1:], lineno
+                while True:
+                    closed = "]" in chunk
+                    body = chunk[:chunk.index("]")] if closed else chunk
+                    pieces = body.split(";")
+                    for piece in pieces[:-1]:
+                        tokens.extend(piece.split())
+                        if tokens:
+                            rows.append((tokens, lineno))
+                        tokens = []
+                    tokens.extend(pieces[-1].split())
+                    if closed:
+                        if tokens:
+                            rows.append((tokens, lineno))
+                        break
+                    if i >= len(lines):
+                        raise CaseSyntaxError(
+                            f"unterminated mpc.{name} block", start
+                        )
+                    lineno = i + 1
+                    chunk = strip_comment(lines[i])
+                    i += 1
+                if name in ("bus", "branch"):
+                    yield name, rows, start

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,11 +13,13 @@ from stealthdeg import (
 from stealthdeg.case_ingest import (
     BranchRecord,
     GridCase,
+    _scan_blocks,
     bundled_case_text,
     in_service_branches,
     render_case,
 )
 from conftest import RING_TEXT
+from oracles import scan_blocks_reference
 
 
 def test_minimal_three_bus(ring_case):
@@ -194,6 +198,25 @@ def test_render_round_trip_with_outage(ring_case):
     assert parse_case(render_case(case)) == case
 
 
+def test_no_in_service_branch_is_empty_grid():
+    with pytest.raises(EmptyGridError, match="no in-service branch"):
+        GridCase(base_mva=100.0, buses=(1, 2),
+                 branches=(BranchRecord(1, 2, 0.1, False),), reference_bus=1)
+
+
+@pytest.mark.parametrize("name", ["case9", "case9.m"])
+def test_bundled_name_loads(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert load_case(name) == parse_case(bundled_case_text("case9"))
+
+
+@pytest.mark.parametrize("path", ["my/grids/case14.m", "/no/such/dir/case9.m"])
+def test_missing_path_never_loads_bundled_case(path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(FileNotFoundError, match=path):
+        load_case(path)
+
+
 def test_bundled_name_lookup_missing():
     with pytest.raises(FileNotFoundError):
         bundled_case_text("case999")
@@ -227,3 +250,45 @@ def test_render_round_trip_property(case):
     back = parse_case(render_case(case))
     assert back == case
     assert repr(back) == repr(case)  # -0.0 and every float bit survive too
+
+
+# Pieces inserted by the scanner comparison: the grammar's delimiters, line
+# breaks splitlines() honours beyond \n, and the starts of assignments.
+_EDIT_PIECES = ["[", "]", ";", "%", "=", "\n", "\r", "\r\n", "\x0b", " ", "\t", "x",
+                "1", "-2.5", "mpc.", "mpc.bus = [", "mpc.branch = [",
+                "mpc.baseMVA = ", "mpc.gen = [", "];\n"]
+
+
+def _edited_case_texts(count, seed):
+    """``count`` bundled case texts, each with 1-4 seeded random insertions,
+    deletions or truncations."""
+    rng = random.Random(seed)
+    sources = [bundled_case_text(name) for name in ("case9", "case14", "case30")]
+    for _ in range(count):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 4)):
+            at = rng.randrange(len(text) + 1)
+            edit = rng.random()
+            if edit < 0.5:
+                text = text[:at] + rng.choice(_EDIT_PIECES) + text[at:]
+            elif edit < 0.9:
+                text = text[:at] + text[at + rng.randint(1, 40):]
+            else:
+                text = text[:at]
+        yield text
+
+
+def _scan_outcome(scan, text):
+    try:
+        return list(scan(text))
+    except CaseSyntaxError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def test_scanner_matches_reference_on_edited_cases():
+    for text in _edited_case_texts(2000, seed=0):
+        expected = _scan_outcome(scan_blocks_reference, text)
+        if isinstance(expected, list):
+            expected = [("baseMVA" if kind == "basemva" else kind, payload)
+                        for kind, payload, _ in expected]
+        assert _scan_outcome(_scan_blocks, text) == expected, text

@@ -71,6 +71,19 @@ class TestExitCodes:
         assert code == 2
         assert "nope.m" in capsys.readouterr().err
 
+    def test_missing_path_with_directory_is_two(self, tmp_path, monkeypatch, capsys):
+        # case14 is bundled, but a path with a directory part never falls
+        # back to a bundled case.
+        monkeypatch.chdir(tmp_path)
+        spec = tmp_path / "s.csv"
+        spec.write_text("branch_index,phi\n1,0.5\n")
+        code = main(["evaluate", "--case", "my/grids/case14.m", "--rho", "0.5",
+                     "--snr-db", "30", "--spec", str(spec)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: case file not found: my/grids/case14.m\n"
+
     def test_bad_rho_is_two(self, tmp_path, capsys):
         code = main([
             "sweep-beta", "--case", "case9", "--rho", "1.5", "--snr-db", "30",

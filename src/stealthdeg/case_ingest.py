@@ -3,9 +3,9 @@
 Only the pieces the DC model needs are read: the ``mpc.baseMVA`` scalar and
 the ``mpc.bus`` / ``mpc.branch`` matrix blocks.  ``gen``, ``gencost``,
 ``mpc.version``, function headers and ``%`` comments are skipped.  Consumed
-branch columns are fbus, tbus, x and status, and bus columns id and type;
-each must be a finite number.  Tap ratios and shunt elements are
-deliberately ignored (pure series-susceptance DC model).
+branch columns are fbus, tbus, x and status (0 or 1), and bus columns id and
+type; all must be finite numbers, and all but x integers.  Tap ratios and
+shunt elements are deliberately ignored (pure series-susceptance DC model).
 """
 
 import math
@@ -88,7 +88,8 @@ def _strip_comment(line):
 
 
 def _parse_row(tokens, lineno, block, columns):
-    """The consumed ``columns`` of one matrix row, each a finite number."""
+    """The consumed ``columns`` of one matrix row as finite numbers, the first
+    two (bus id and type, or branch endpoints) as ints, which they must be."""
     try:
         values = [float(t) for t in tokens]
     except ValueError as exc:
@@ -101,6 +102,10 @@ def _parse_row(tokens, lineno, block, columns):
     picked = [values[c] for c in columns]
     if not all(math.isfinite(v) for v in picked):
         raise CaseSyntaxError(f"non-finite number in {block} row", lineno)
+    for k in (0, 1):
+        if not picked[k].is_integer():
+            raise CaseSyntaxError(f"{block} column {columns[k] + 1} is not an integer", lineno)
+        picked[k] = int(picked[k])
     return picked
 
 
@@ -162,7 +167,7 @@ def parse_case(text):
 
     buses, reference = [], None
     for tokens, lineno in blocks["bus"]:
-        bus_id, bus_type = (int(v) for v in _parse_row(tokens, lineno, "bus", (0, 1)))
+        bus_id, bus_type = _parse_row(tokens, lineno, "bus", (0, 1))
         buses.append(bus_id)
         if bus_type == 3 and reference is None:
             reference = bus_id
@@ -172,14 +177,9 @@ def parse_case(text):
     branches = []
     for tokens, lineno in blocks["branch"]:
         from_bus, to_bus, x, status = _parse_row(tokens, lineno, "branch", (0, 1, 3, 10))
-        branches.append(
-            BranchRecord(
-                from_bus=int(from_bus),
-                to_bus=int(to_bus),
-                reactance_x=x,
-                status=status != 0,
-            )
-        )
+        if status not in (0.0, 1.0):
+            raise CaseSyntaxError(f"branch status must be 0 or 1, got {status!r}", lineno)
+        branches.append(BranchRecord(from_bus, to_bus, x, status == 1.0))
 
     return GridCase(
         base_mva=blocks["baseMVA"],

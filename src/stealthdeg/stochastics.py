@@ -24,7 +24,7 @@ class ScenarioStats:
     sigma2: measurement-noise variance.
     F: l x n factor diag(b) A L with sigma_xx = L L^T, so that the signal
         covariance H sigma_xx H^T is (J F)(J F)^T.
-    G: l x l matrix J^T sigma_yy^-1 J, built without any m x m matrix on
+    G: l x l matrix J^T sigma_yy^-1 J, built without any m-row matrix on
         first access (the uniform sweep never reads it).
     signal_eigs: the n eigenvalues of (J F)^T (J F) in ascending order,
         i.e. the n largest eigenvalues of the signal covariance.  The Gram
@@ -40,11 +40,11 @@ class ScenarioStats:
     the (n + l)-row J~, and J F from K = J~ F = [A^T F; sqrt(2) F], whose
     Gram K^T K = (A^T F)^T (A^T F) + 2 F^T F is (J F)^T (J F).
 
-    With K = Q R (thin QR) and J_perp = J~ - Q Q^T J~, the folded
-    measurement covariance Q R R^T Q^T + sigma2 I inverts on range(Q) and
-    its complement separately:
-
-        G = J_perp^T J_perp / sigma2 + (Q^T J~)^T (R R^T + sigma2 I)^-1 (Q^T J~).
+    G from one projector: with [K; sigma I] = Q R (thin QR, 2n + l rows),
+    sigma2 (K K^T + sigma2 I)^-1 is the leading block of I - Q Q^T, so
+    G = Z^T Z / sigma2 with Z = [J~; 0] - Q X, X = Q[:n+l]^T J~ (read through
+    the incidence).  A Gram of projected columns, G does not cancel as
+    J~^T J~ - X^T X would.  Cost: one QR and one O((2n + l) l^2) Gram.
 
     Singularity: :func:`build_scenario` raises :class:`SingularityError`
     when sigma2 <= eps ||K||_2^2, i.e. when the noise is below roundoff of
@@ -69,12 +69,11 @@ class ScenarioStats:
     def G(self):
         A, K, _ = self._fold
         l, n = self.F.shape
-        Q, R = np.linalg.qr(K)
-        J = np.vstack([A.T, np.sqrt(2.0) * np.eye(l)])
-        QtJ = Q.T @ J
-        J_perp = J - Q @ QtJ
-        Y = np.linalg.solve(np.linalg.cholesky(R @ R.T + self.sigma2 * np.eye(n)), QtJ)
-        return J_perp.T @ J_perp / self.sigma2 + Y.T @ Y
+        Q, _ = np.linalg.qr(np.vstack([K, np.sqrt(self.sigma2) * np.eye(n)]))
+        Z = Q @ -((A @ Q[:n]).T + np.sqrt(2.0) * Q[n:-n].T)
+        Z[:n] += A.T
+        Z[np.arange(n, n + l), np.arange(l)] += np.sqrt(2.0)
+        return Z.T @ Z / self.sigma2
 
 
 def toeplitz_cov(n, rho):
@@ -116,9 +115,9 @@ def build_scenario(model, rho, snr_db):
 
     sigma2 and the signal spectrum come from the folded J F, the
     (n + l) x n matrix K = [A^T F; sqrt(2) F], and its n x n Gram: no
-    m-row matrix is built and no QR is run.  G costs O((n + l) l^2) more,
-    on first access.  See :class:`ScenarioStats` for the fold, the QR split
-    of G and the singularity criterion.
+    m-row matrix is built and no QR is run.  G costs one QR and one
+    O((2n + l) l^2) Gram more, on first access.  See :class:`ScenarioStats`
+    for the fold, the projector behind G and the singularity criterion.
     """
     sigma_xx = toeplitz_cov(model.n, rho)
     F = model.b[:, None] * (model.A @ np.linalg.cholesky(sigma_xx))

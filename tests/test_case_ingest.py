@@ -99,6 +99,45 @@ def test_short_branch_row_rejected():
         parse_case(text)
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("\t1\t3\t0\t0\t0", "\t1.5\t3\t0\t0\t0", "line 3: bus column 1 is not an integer"),
+    ("\t1\t3\t0\t0\t0", "\t1\t2.5\t0\t0\t0", "line 3: bus column 2 is not an integer"),
+    ("\t2\t3\t0\t0.1", "\t2.2\t3\t0\t0.1", "line 9: branch column 1 is not an integer"),
+    ("\t1\t3\t0\t0.1", "\t1\t3.7\t0\t0.1", "line 10: branch column 2 is not an integer"),
+], ids=["bus-id", "bus-type", "from-bus", "to-bus"])
+def test_non_integer_column_rejected(old, new, message):
+    with pytest.raises(CaseSyntaxError) as info:
+        parse_case(RING_TEXT.replace(old, new, 1))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("status", ["0.5", "2", "-1"])
+def test_status_other_than_zero_or_one_rejected(status):
+    text = RING_TEXT.replace("\t0\t0\t1\t-360", f"\t0\t0\t{status}\t-360", 1)
+    with pytest.raises(CaseSyntaxError, match="line 8: branch status must be 0 or 1"):
+        parse_case(text)
+
+
+def test_fractional_ids_and_status_are_not_truncated():
+    # int() once read bus 1.9 as 1 and branch 1.2-2 at status 0.5 as an
+    # in-service branch 1-2.
+    text = "mpc.baseMVA = 100;\nmpc.bus = [ 1.9 3; 2 1; ];\nmpc.branch = [\n{};\n];\n"
+    with pytest.raises(CaseSyntaxError, match="line 2: bus column 1 is not an integer"):
+        parse_case(text.format("1.2 2 0 0.1 0 0 0 0 0 0 0.5"))
+    text = text.replace("1.9", "1")
+    with pytest.raises(CaseSyntaxError, match="line 4: branch column 1 is not an integer"):
+        parse_case(text.format("1.2 2 0 0.1 0 0 0 0 0 0 0.5"))
+    with pytest.raises(CaseSyntaxError, match="line 4: branch status must be 0 or 1"):
+        parse_case(text.format("1 2 0 0.1 0 0 0 0 0 0 0.5"))
+
+
+def test_integral_floats_parse_as_ints():
+    text = RING_TEXT.replace("\t2\t3\t0\t0.1", "\t2.0\t3e0\t0\t0.1", 1)
+    case = parse_case(text.replace("\t0\t0\t1\t-360", "\t0\t0\t1.0\t-360", 1))
+    assert case == parse_case(RING_TEXT)
+    assert all(type(v) is int for br in case.branches for v in (br.from_bus, br.to_bus))
+
+
 def test_unterminated_block_rejected():
     text = RING_TEXT.rsplit("];", 1)[0]  # drop the branch block terminator
     with pytest.raises(CaseSyntaxError, match="unterminated"):

@@ -84,6 +84,16 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: case file not found: my/grids/case14.m\n"
 
+    def test_non_integer_bus_id_is_two(self, tmp_path, capsys):
+        case = tmp_path / "frac.m"
+        case.write_text("mpc.baseMVA = 100;\nmpc.bus = [ 1.9 3; 2 1; ];\n"
+                        "mpc.branch = [\n1 2 0 0.1 0 0 0 0 0 0 1;\n];\n")
+        code = main(["classify", "--case", str(case), "--rho", "0.5", "--beta", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: bus column 1 is not an integer\n"
+
     def test_bad_rho_is_two(self, tmp_path, capsys):
         code = main([
             "sweep-beta", "--case", "case9", "--rho", "1.5", "--snr-db", "30",

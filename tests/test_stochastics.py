@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -185,6 +187,61 @@ def test_G_and_objective_match_mpmath(snr_db, case9_model):
             ref = (sum(M[i, i] for i in range(model.n))
                    - mpmath.log(mpmath.det(mpmath.eye(model.n) + M)))
             assert abs(ev.objective(phi) - float(ref)) <= 1e-13 * float(ref)
+
+
+def _mp_G_and_F(model, stats):
+    """60-digit G = J^T sigma_yy^-1 J from the m x m covariance, and
+    F = diag(b) A L; call inside ``mpmath.workdps(60)``."""
+    sigma_xx = _mp_matrix(stats.sigma_xx)
+    H, J = _mp_matrix(oracles.H(model)), _mp_matrix(oracles.J(model))
+    sigma_yy = H * sigma_xx * H.T + mpmath.mpf(stats.sigma2) * mpmath.eye(model.m)
+    F = _mp_matrix(model.b[:, None] * model.A) * mpmath.cholesky(sigma_xx)
+    return J.T * mpmath.inverse(sigma_yy) * J, F
+
+
+@pytest.fixture(scope="module")
+def stiff_case9_model():
+    """case9 with branch 4's reactance x0.01 and branch 7's x100: the
+    folded K = J F has a condition number of about 1.7e4."""
+    case = load_case("case9")
+    branches = list(case.branches)
+    for k, scale in ((3, 0.01), (6, 100.0)):
+        branches[k] = dataclasses.replace(
+            branches[k], reactance_x=branches[k].reactance_x * scale)
+    return build_model(dataclasses.replace(case, branches=tuple(branches)))
+
+
+@pytest.mark.parametrize("snr_db", [30.0, 90.0])
+def test_G_matches_mpmath_on_ill_conditioned_fold(snr_db, stiff_case9_model):
+    # An orthogonal projector keeps G at 1.7e-13 here; forming its
+    # range part from R by a triangular solve errs by about 1e-11.
+    model = stiff_case9_model
+    stats = build_scenario(model, 0.5, snr_db)
+    assert np.linalg.cond(oracles.J(model) @ stats.F) > 1e4
+    with mpmath.workdps(60):
+        G, _ = _mp_G_and_F(model, stats)
+        G_ref = np.array(G.tolist(), dtype=float)
+    assert np.abs(stats.G - G_ref).max() <= 1e-12 * np.abs(G_ref).max()
+
+
+def test_near_uniform_objective_matches_mpmath(case9_model):
+    # Near phi = beta * ones, M = C^T G C nearly cancels the sigma2^-1-sized
+    # part of G.  With G a Gram of projected columns the objective stays
+    # within 1e-10; G = (J^T J - V^T V) / sigma2 loses it to 4e-9.
+    model = case9_model
+    stats = build_scenario(model, 0.5, 70.0)
+    ev = ObjectiveEvaluator(model, stats)
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, model.l)
+    with mpmath.workdps(60):
+        G, F = _mp_G_and_F(model, stats)
+        for beta in (-0.5, 0.3):
+            for eps in (1e-6, 1e-4, 1e-2):
+                phi = beta + eps * u
+                C = mpmath.diag(_mp_matrix(1.0 + phi)) * F
+                M = C.T * G * C
+                ref = float(sum(M[i, i] for i in range(model.n))
+                            - mpmath.log(mpmath.det(mpmath.eye(model.n) + M)))
+                assert abs(ev.objective(phi) - ref) <= 1e-9 * ref, (beta, eps)
 
 
 def _mp_uniform_metrics(model, stats, betas):

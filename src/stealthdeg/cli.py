@@ -25,9 +25,9 @@ from .errors import (
     StealthdegError,
     ValidationError,
 )
-from .experiment_harness import fmt17
+from .experiment_harness import POINT_CAP, fmt17
 from .grid_model import build_model, jacobian
-from .regime_analysis import _label_of_eigs, definiteness_conditions
+from .regime_analysis import _label_of_eigs, classify_uniform_ratio, definiteness_conditions
 from .stochastics import build_scenario, toeplitz_cov
 
 _NUMERICAL_ERRORS = (NotPSDError, SingularityError, DomainError,
@@ -43,15 +43,10 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# Largest number of points ``parse_range`` builds; a longer grid is rejected
-# before any point is made.
-RANGE_POINT_CAP = 100_000
-
-
 def parse_range(text):
     """Inclusive start:end:step grid, endpoint kept within half a step.
 
-    At most :data:`RANGE_POINT_CAP` points.
+    At most :data:`~stealthdeg.experiment_harness.POINT_CAP` points.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -63,9 +58,8 @@ def parse_range(text):
     if not np.isfinite([start, end, step]).all() or step <= 0 or end < start:
         raise ValidationError(f"need finite end >= start and step > 0 in {text!r}")
     points = np.floor((end - start) / step + 0.5) + 1.0
-    if not points <= RANGE_POINT_CAP:
-        raise ValidationError(
-            f"range {text!r} has {points:g} points, more than {RANGE_POINT_CAP}")
+    if not points <= POINT_CAP:
+        raise ValidationError(f"range {text!r} has {points:g} points, more than {POINT_CAP}")
     return [start + i * step for i in range(int(points))]
 
 
@@ -155,7 +149,10 @@ def _cmd_classify(args):
         eigs = _finite(np.linalg.eigvalsh(sym), "an eigenvalue of delta")
         conditions = definiteness_conditions(spec.phi)
     _finite([conditions.lhs_psd, conditions.lhs_nsd], "a sufficient-condition margin")
-    print(f"regime = {_label_of_eigs(eigs).value}")
+    # A uniform phi takes the exact sign of 2 beta + beta^2, as sweep-beta does.
+    uniform = (spec.phi == spec.phi[0]).all()
+    label = classify_uniform_ratio(float(spec.phi[0])) if uniform else _label_of_eigs(eigs)
+    print(f"regime = {label.value}")
     print(f"delta_eig_min = {fmt17(eigs[0])}")
     print(f"delta_eig_max = {fmt17(eigs[-1])}")
     print(f"sufficient_psd_lhs = {fmt17(conditions.lhs_psd)} "
@@ -209,7 +206,7 @@ def _run_maximize(args):
     spec = _read_spec(args.bounds, model.l)
     if args.oracle:
         result, _ = degradation_opt.maximize_with_oracle(
-            model, stats, spec, cap=args.cap, refine=args.refine
+            model, stats, spec, refine=args.refine
         )
     else:
         result = degradation_opt.greedy_maximize(
@@ -275,7 +272,6 @@ def _add_maximize_args(sub):
                      help="bounds CSV (branch_index,phi_min,phi_max)")
     sub.add_argument("--oracle", action="store_true",
                      help="also run the exhaustive oracle and report the gap")
-    sub.add_argument("--cap", type=int, default=degradation_opt.ENUMERATION_CAP)
     sub.add_argument("--refine", action="store_true",
                      help="re-sweep coordinates until stable (extension)")
     sub.add_argument("--out", required=True)

@@ -126,13 +126,14 @@ class ObjectiveEvaluator:
         2 kl = tr(M) - log|I + M|,   M = C^T G C,   G = J^T S J,
         2 mi = log|I + P^T P / sigma2| - log|I + K^T K / sigma2|,
 
-    with K = J C and P = [K, J F]; the objective is 2 kl.  F, G and
-    (J F)^T J F are read from :class:`~stealthdeg.stochastics.ScenarioStats`,
-    and J^T J = A A^T + 2 I from the model's incidence.  Log-determinants
-    come from Cholesky pivots of matrices no smaller than I.  Ratio vectors
-    of the uniform family phi = beta * ones, phi = 0 among them, take their
-    values from the closed form of :func:`uniform_metrics` instead, which
-    does not cancel at high SNR.
+    with K = J C and P = [K, J F]; the objective is 2 kl.  F, the folded
+    J F and its Gram (J F)^T J F are read from
+    :class:`~stealthdeg.stochastics.ScenarioStats`, G is built from them
+    (below), and J^T J = A A^T + 2 I comes from the model's incidence.
+    Log-determinants come from Cholesky pivots of matrices no smaller than
+    I.  Ratio vectors of the uniform family phi = beta * ones, phi = 0 among
+    them, take their values from the closed form of :func:`uniform_metrics`
+    instead, which does not cancel at high SNR.
 
     Moving 1 + phi_i by e changes C by e e_i r^T with r = F[i], hence M by
     the symmetric rank-2 term  e (r u^T + u r^T) + e^2 G_ii r r^T  with
@@ -140,16 +141,29 @@ class ObjectiveEvaluator:
     that term (determinant lemma, trace increment) and commits the winner
     to a maintained (I + M)^-1 by Woodbury, which stays well conditioned
     because I + M >= I.
+
+    ``G`` is built here from one projector.  With the folded J F,
+    E = J~ F (J~ = [A^T; sqrt(2) I], see ScenarioStats), and
+    [E; sigma I] = Q R (thin QR, 2n + l rows), sigma2 (E E^T + sigma2 I)^-1
+    is the leading block of I - Q Q^T, so G = Z^T Z / sigma2 with
+    Z = [J~; 0] - Q X, X = Q[:n+l]^T J~ (read through the incidence).  A Gram
+    of projected columns, G does not cancel as J~^T J~ - X^T X would.  Cost:
+    one QR and one O((2n + l) l^2) Gram.
     """
 
     def __init__(self, model, stats):
         self.model = model
         self.stats = stats
-        self._F, self._G = stats.F, stats.G
+        self._F = stats.F
+        A, (l, n) = model.A, stats.F.shape
+        Q, _ = np.linalg.qr(np.vstack([stats.K, np.sqrt(stats.sigma2) * np.eye(n)]))
+        Z = Q @ -((A @ Q[:n]).T + np.sqrt(2.0) * Q[n:-n].T)
+        Z[:n] += A.T
+        Z[np.arange(n, n + l), np.arange(l)] += np.sqrt(2.0)
+        self.G = Z.T @ Z / stats.sigma2
         # Small integers throughout, so bitwise equal to J^T J.
-        self._JtJ = model.A @ model.A.T + 2.0 * np.eye(model.l)
-        self._JF_gram = stats._fold[2]
-        self._eye = np.eye(model.n)
+        self._JtJ = A @ A.T + 2.0 * np.eye(l)
+        self._eye = np.eye(n)
         self._baseline = None
         self._objective_at_zero = None
         self._origin = None
@@ -161,7 +175,7 @@ class ObjectiveEvaluator:
         where x_i = L_ii^2 - 1: every term is >= 0, so nothing cancels as
         phi nears -1 and M nears 0.
         """
-        m = np.swapaxes(c, -1, -2) @ (self._G @ c)
+        m = np.swapaxes(c, -1, -2) @ (self.G @ c)
         chol = np.linalg.cholesky(self._eye + m)
         lower = np.tril(chol, -1)
         x = np.diagonal(chol, axis1=-2, axis2=-1) ** 2 - 1.0
@@ -207,7 +221,7 @@ class ObjectiveEvaluator:
             np.matmul(np.swapaxes(c, -1, -2), q, out=ptp[..., :n, :n])
             np.matmul(np.swapaxes(q, -1, -2), self._F, out=ptp[..., :n, n:])
             ptp[..., n:, :n] = np.swapaxes(ptp[..., :n, n:], -1, -2)
-            ptp[..., n:, n:] = self._JF_gram
+            ptp[..., n:, n:] = self.stats.gram
             ptp /= self.stats.sigma2
             np.einsum("...ii->...i", ptp)[...] += 1.0
             # The leading n pivots of I + P^T P are those of I + K^T K, so mi is
@@ -251,7 +265,7 @@ class ObjectiveEvaluator:
         lam as in :func:`uniform_metrics`: F^T G F would cancel at high SNR.
         """
         if self._origin is None:
-            mu, V = np.linalg.eigh(self._JF_gram)
+            mu, V = np.linalg.eigh(self.stats.gram)
             mu = np.maximum(mu, 0.0) / self.stats.sigma2
             lam = mu / (1.0 + mu)
             self._origin = ((V / (1.0 + lam)) @ V.T, float(lam.sum()),
@@ -264,7 +278,7 @@ class ObjectiveEvaluator:
         Returns (phi, tr M, log|I + M|) at the chosen vertices, the last two
         as maintained by the rank-2 updates.
         """
-        F, G = self._F, self._G
+        F, G = self._F, self.G
         inv0, trace0, logdet0 = self._origin_state()
         t, l = lows.shape
         inv = np.repeat(inv0[None], t, axis=0)
@@ -330,7 +344,7 @@ def evaluate(model, stats, spec):
     return MetricsPoint(*ev.metrics(spec.phi), *ev.baseline())
 
 
-def vertex_profiles(spec, cap=ENUMERATION_CAP):
+def vertex_profiles(spec):
     """Lazily yield every vertex of the bound box, low/high per free index.
 
     Coordinates whose bounds coincide are pinned and contribute no factor
@@ -340,10 +354,9 @@ def vertex_profiles(spec, cap=ENUMERATION_CAP):
     at a time from those bits and yielded row by row.
     """
     free = [i for i in spec.support if spec.phi_min[i] != spec.phi_max[i]]
-    if len(free) > cap:
+    if len(free) > ENUMERATION_CAP:
         raise CapExceededError(
-            f"{len(free)} free coordinates exceed the enumeration cap {cap}"
-        )
+            f"{len(free)} free coordinates exceed the enumeration cap {ENUMERATION_CAP}")
     base = np.zeros(spec.l)
     support = list(spec.support)
     base[support] = spec.phi_min[support]
@@ -391,14 +404,14 @@ def greedy_maximize(model, stats, spec, *, refine=False, evaluator=None):
     return _result(ev, spec, phi)
 
 
-def exhaustive_maximize(model, stats, spec, *, cap=ENUMERATION_CAP, evaluator=None):
+def exhaustive_maximize(model, stats, spec, *, evaluator=None):
     """Global optimum over the vertex set (small supports only).
 
     Vertices are scored in stacks.  Winners are ordered by (objective,
     lexicographic vertex) so the result does not depend on evaluation order.
     """
     ev = evaluator or ObjectiveEvaluator(model, stats)
-    vertices = vertex_profiles(spec, cap=cap)
+    vertices = vertex_profiles(spec)
     best_phi, best_key = None, None
     while chunk := list(itertools.islice(vertices, _VERTEX_CHUNK)):
         stack = np.array(chunk)
@@ -410,15 +423,14 @@ def exhaustive_maximize(model, stats, spec, *, cap=ENUMERATION_CAP, evaluator=No
     return _result(ev, spec, best_phi)
 
 
-def maximize_with_oracle(model, stats, spec, *, cap=ENUMERATION_CAP, refine=False,
-                         evaluator=None):
+def maximize_with_oracle(model, stats, spec, *, refine=False, evaluator=None):
     """Greedy result annotated with its measured gap to the exhaustive optimum.
 
     ``refine`` is passed to :func:`greedy_maximize`.
     """
     ev = evaluator or ObjectiveEvaluator(model, stats)
     greedy = greedy_maximize(model, stats, spec, refine=refine, evaluator=ev)
-    exact = exhaustive_maximize(model, stats, spec, cap=cap, evaluator=ev)
+    exact = exhaustive_maximize(model, stats, spec, evaluator=ev)
     if exact.objective <= 0.0:
         gap = 0.0
     else:

@@ -40,7 +40,7 @@ class NotPSDError(StealthdegError):
 
 
 class CapExceededError(StealthdegError):
-    """Exhaustive vertex enumeration was requested beyond the configured cap."""
+    """Exhaustive vertex enumeration was requested beyond the enumeration cap."""
 
 
 class UnreachableAlphaError(StealthdegError):

@@ -29,6 +29,9 @@ from .degradation_opt import ObjectiveEvaluator, uniform_metrics
 from .errors import UnreachableAlphaError, ValidationError
 from .regime_analysis import classify_delta, classify_uniform_ratio, RegimeLabel
 
+# Largest number of beta-grid points, or of trials per batch, that one run
+# builds; a larger count is rejected before anything is allocated.
+POINT_CAP = 100_000
 # Greedy vertices whose (kl, mi) are scored per stacked metrics call: larger
 # stacks were slower and grew peak memory.
 _METRICS_STACK = 8
@@ -154,6 +157,8 @@ def _run_trials(ev, seed, trials, batches):
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+    if trials > POINT_CAP:
+        raise ValidationError(f"trials must be <= {POINT_CAP}, got {trials}")
     l = ev.model.l
     full = tuple(range(l))
     kl_opt, mi_opt = ev.baseline()

@@ -8,8 +8,7 @@ from an m x m covariance.
 """
 
 import sys
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,27 +23,22 @@ class ScenarioStats:
     sigma2: measurement-noise variance.
     F: l x n factor diag(b) A L with sigma_xx = L L^T, so that the signal
         covariance H sigma_xx H^T is (J F)(J F)^T.
-    G: l x l matrix J^T sigma_yy^-1 J, built without any m-row matrix on
-        first access (the uniform sweep never reads it).
-    signal_eigs: the n eigenvalues of (J F)^T (J F) in ascending order,
-        i.e. the n largest eigenvalues of the signal covariance.  The Gram
-        is PSD by construction, so negative eigenvalues are roundoff and
-        are clamped at 0.  With mu = signal_eigs / sigma2, the eigenvalues
-        of F^T G F are mu / (1 + mu), which gives the uniform family
-        phi = beta * ones in closed form (see
-        :func:`~stealthdeg.degradation_opt.uniform_metrics`).
+    K: (n + l) x n folded J F, [A^T F; sqrt(2) F].
+    gram: n x n Gram K^T K = (J F)^T (J F).
+    signal_eigs: the n eigenvalues of ``gram`` in ascending order, i.e. the
+        n largest eigenvalues of the signal covariance.  The Gram is PSD by
+        construction, so negative eigenvalues are roundoff and are clamped
+        at 0.  With mu = signal_eigs / sigma2, the eigenvalues of F^T G F
+        are mu / (1 + mu), which gives the uniform family phi = beta * ones
+        in closed form (see :func:`~stealthdeg.degradation_opt.uniform_metrics`).
 
     The fold: rotating each (flow, reverse flow) measurement pair by 45
     degrees is an orthogonal change of basis that maps J = [A^T; I; -I] to
     [J~; 0] with J~ = [A^T; sqrt(2) I], so every quantity here comes from
-    the (n + l)-row J~, and J F from K = J~ F = [A^T F; sqrt(2) F], whose
-    Gram K^T K = (A^T F)^T (A^T F) + 2 F^T F is (J F)^T (J F).
-
-    G from one projector: with [K; sigma I] = Q R (thin QR, 2n + l rows),
-    sigma2 (K K^T + sigma2 I)^-1 is the leading block of I - Q Q^T, so
-    G = Z^T Z / sigma2 with Z = [J~; 0] - Q X, X = Q[:n+l]^T J~ (read through
-    the incidence).  A Gram of projected columns, G does not cancel as
-    J~^T J~ - X^T X would.  Cost: one QR and one O((2n + l) l^2) Gram.
+    the (n + l)-row J~, and J F from K = J~ F, whose Gram
+    K^T K = (A^T F)^T (A^T F) + 2 F^T F is (J F)^T (J F).
+    G = J^T sigma_yy^-1 J is built from K by
+    :class:`~stealthdeg.degradation_opt.ObjectiveEvaluator`, its one reader.
 
     Singularity: :func:`build_scenario` raises :class:`SingularityError`
     when sigma2 <= eps ||K||_2^2, i.e. when the noise is below roundoff of
@@ -53,27 +47,15 @@ class ScenarioStats:
     case9, 143.6 dB on case14 and 141.6 dB on case30.
 
     No field is an m-row matrix: the signal covariance H sigma_xx H^T and
-    sigma_yy = H sigma_xx H^T + sigma2 I enter only through F, G and the
-    folded Gram.
+    sigma_yy = H sigma_xx H^T + sigma2 I enter only through F and K.
     """
 
     sigma_xx: np.ndarray
     sigma2: float
     F: np.ndarray
+    K: np.ndarray
+    gram: np.ndarray
     signal_eigs: np.ndarray
-    # (A, K, K^T K) of the fold: G is built from the first two, and the
-    # evaluator's metrics read the Gram.
-    _fold: tuple = field(repr=False)
-
-    @cached_property
-    def G(self):
-        A, K, _ = self._fold
-        l, n = self.F.shape
-        Q, _ = np.linalg.qr(np.vstack([K, np.sqrt(self.sigma2) * np.eye(n)]))
-        Z = Q @ -((A @ Q[:n]).T + np.sqrt(2.0) * Q[n:-n].T)
-        Z[:n] += A.T
-        Z[np.arange(n, n + l), np.arange(l)] += np.sqrt(2.0)
-        return Z.T @ Z / self.sigma2
 
 
 def toeplitz_cov(n, rho):
@@ -115,9 +97,8 @@ def build_scenario(model, rho, snr_db):
 
     sigma2 and the signal spectrum come from the folded J F, the
     (n + l) x n matrix K = [A^T F; sqrt(2) F], and its n x n Gram: no
-    m-row matrix is built and no QR is run.  G costs one QR and one
-    O((2n + l) l^2) Gram more, on first access.  See :class:`ScenarioStats`
-    for the fold, the projector behind G and the singularity criterion.
+    m-row matrix is built and no QR is run.  See :class:`ScenarioStats` for
+    the fold and the singularity criterion.
     """
     sigma_xx = toeplitz_cov(model.n, rho)
     F = model.b[:, None] * (model.A @ np.linalg.cholesky(sigma_xx))
@@ -129,10 +110,5 @@ def build_scenario(model, rho, snr_db):
     if sigma2 <= np.finfo(float).eps * signal_eigs[-1]:
         raise SingularityError(
             f"noise variance {sigma2:.3e} is below roundoff of the signal at {snr_db} dB")
-    return ScenarioStats(
-        sigma_xx=sigma_xx,
-        sigma2=sigma2,
-        F=F,
-        signal_eigs=signal_eigs,
-        _fold=(model.A, K, gram),
-    )
+    return ScenarioStats(sigma_xx=sigma_xx, sigma2=sigma2, F=F, K=K, gram=gram,
+                         signal_eigs=signal_eigs)

@@ -166,7 +166,7 @@ def integrity_cost(cov_attack, model, stats):
 def unfolded_G(model, stats):
     """G = J^T sigma_yy^-1 J through the QR split of the m-row J F.
 
-    The same split as :attr:`stealthdeg.ScenarioStats.G` without the fold:
+    The same split as :attr:`stealthdeg.ObjectiveEvaluator.G` without the fold:
     with J F = Q R and J_perp = J - Q Q^T J,
     G = J_perp^T J_perp / sigma2 + (Q^T J)^T (R R^T + sigma2 I)^-1 (Q^T J).
     """
@@ -317,6 +317,54 @@ def convexity_gap_on_segment(model, stats, phi_a, phi_b, steps=50, *, evaluator=
         violation = ev.objective(mixed) - (theta * f_a + (1.0 - theta) * f_b)
         worst = max(worst, violation)
     return float(worst)
+
+
+# -- the branch graph ---------------------------------------------------------
+
+def branch_blocks(model):
+    """Block (biconnected component) label of every branch, (l,) ints.
+
+    The endpoints come from the reduced incidence, a row with one nonzero
+    ending at the reference bus.  Two branches share a block when a cycle
+    runs through both, and the fundamental circuits of one spanning tree
+    generate that relation, so a union-find over them gives the blocks; a
+    bridge is a block of its own.  Labels count from 0 in branch order.
+    """
+    ref = model.n
+    ends = []
+    for row in model.A:
+        buses = list(np.flatnonzero(row))
+        ends.append((buses + [ref])[:2])
+    adjacent = [[] for _ in range(model.n + 1)]
+    for k, (u, v) in enumerate(ends):
+        adjacent[u].append((v, k))
+        adjacent[v].append((u, k))
+    # Breadth-first spanning tree from the reference bus: bus -> (parent, branch).
+    up, depth, order = {}, {ref: 0}, [ref]
+    for bus in order:
+        for other, k in adjacent[bus]:
+            if other not in depth:
+                up[other], depth[other] = (bus, k), depth[bus] + 1
+                order.append(other)
+    tree = {k for _, k in up.values()}
+    root = list(range(model.l))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for k, (u, v) in enumerate(ends):
+        if k in tree:
+            continue
+        # Walk both ends up to their common ancestor: the circuit of k.
+        while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
+            u, branch = up[u]
+            root[find(branch)] = find(k)
+    labels = {}
+    return np.array([labels.setdefault(find(k), len(labels)) for k in range(model.l)])
 
 
 # -- vertices -----------------------------------------------------------------

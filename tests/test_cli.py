@@ -15,7 +15,7 @@ from stealthdeg import (
 )
 from stealthdeg.case_ingest import bundled_case_text
 from stealthdeg.cli import (
-    RANGE_POINT_CAP,
+    POINT_CAP,
     main,
     parse_float_list,
     parse_int_list,
@@ -264,8 +264,14 @@ SCENARIO = ["--case", "case9", "--rho", "0.5", "--snr-db", "30"]
     (["sweep-beta", "--case", "case9", "--rho", "0.5", "--snr-db", "nan",
       "--beta", "0:1:0.5", "--out", "{out}"], None),
     (["sweep-beta", *SCENARIO, "--beta=nan:1:0.5", "--out", "{out}"], None),
+    # Rejected before the (trials, l) bound arrays are allocated, so it does
+    # not rely on the allocation failing.
+    (["montecarlo-alpha", *SCENARIO, "--alphas", "1", "--trials", "1000000000000",
+      "--out", "{out}"], None),
+    (["sweep-k", *SCENARIO, "--ks", "2", "--trials", "1000000000000", "--out", "{out}"], None),
 ], ids=["spec-phi-nan", "bounds-phi-min-nan", "spec-phi-abc", "spec-short-row",
-        "beta-nan", "alphas-nan", "seed-negative", "snr-db-nan", "range-nan"])
+        "beta-nan", "alphas-nan", "seed-negative", "snr-db-nan", "range-nan",
+        "montecarlo-alpha-trials-huge", "sweep-k-trials-huge"])
 def test_bad_scalar_input_is_two(argv, csv_text, tmp_path, capsys):
     path = tmp_path / "in.csv"
     if csv_text is not None:
@@ -394,9 +400,9 @@ def test_range_point_cap(tmp_path, capsys):
     # About 1e24 points: rejected from the count alone, nothing is built.
     with pytest.raises(ValidationError, match="more than"):
         parse_range("0:1e12:1e-12")
-    assert len(parse_range(f"1:{RANGE_POINT_CAP}:1")) == RANGE_POINT_CAP
+    assert len(parse_range(f"1:{POINT_CAP}:1")) == POINT_CAP
     with pytest.raises(ValidationError):
-        parse_range(f"0:{RANGE_POINT_CAP}:1")
+        parse_range(f"0:{POINT_CAP}:1")
     assert main(["sweep-beta", *SCENARIO, "--beta=0:1e12:1e-12",
                  "--out", str(tmp_path / "out.csv")]) == 2
     assert "more than" in capsys.readouterr().err
@@ -477,6 +483,31 @@ def test_classify_huge_ratio_is_three_without_warning(ratio, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical error: ")
     assert len(err.splitlines()) == 1
+
+
+def test_cap_is_not_an_option(bounds_file, tmp_path, capsys):
+    # The oracle's only limit is ENUMERATION_CAP: --cap 41 on case30 would
+    # start a 2^41-vertex enumeration.
+    argv = ["maximize", *SCENARIO, "--bounds", bounds_file, "--oracle", "--cap", "41",
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --cap")
+
+
+@pytest.mark.parametrize("source", ["beta", "spec"])
+@pytest.mark.parametrize("beta", ["1e-12", "1e-10", "-1e-10", "-2.0000000001", "0", "-2", "0.5"])
+def test_classify_labels_uniform_phi_as_sweep_beta(beta, source, tmp_path, capsys):
+    # Both take the exact sign of 2 beta + beta^2, with no tolerance.
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep-beta", *SCENARIO, f"--beta={beta}:{beta}:1", "--out", str(out)]) == 0
+    swept = out.read_text().splitlines()[1].rsplit(",", 1)[1]
+    spec = tmp_path / "spec.csv"
+    spec.write_text("branch_index,phi\n" + "".join(f"{i},{beta}\n" for i in range(1, 10)))
+    ratio = [f"--beta={beta}"] if source == "beta" else ["--spec", str(spec)]
+    capsys.readouterr()
+    assert main(["classify", "--case", "case9", "--rho", "0.5", *ratio]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"regime = {swept}"
+    assert (swept == "BOUNDARY") == (float(beta) in (0.0, -2.0))
 
 
 @pytest.mark.parametrize("command, extra", [

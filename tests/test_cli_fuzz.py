@@ -63,8 +63,8 @@ OPTIONS = {
                          "--seed": _SEEDS, "--out": _OUTS},
     "sweep-k": {**SCENARIO, "--ks": _LISTS, "--alpha": _RATIOS, "--trials": _COUNTS,
                 "--seed": _SEEDS, "--out": _OUTS},
-    "maximize": {**SCENARIO, "--bounds": _BOUNDS, "--cap": _COUNTS, "--out": _OUTS},
-    "mtd-plan": {**SCENARIO, "--bounds": _BOUNDS, "--cap": _COUNTS, "--out": _OUTS},
+    "maximize": {**SCENARIO, "--bounds": _BOUNDS, "--out": _OUTS},
+    "mtd-plan": {**SCENARIO, "--bounds": _BOUNDS, "--out": _OUTS},
 }
 # classify takes its ratio from exactly one of these.
 RATIO_SOURCES = {"--beta": _RATIOS, "--spec": _FILES}

@@ -89,7 +89,7 @@ class TestVertexProfiles:
     def test_cap(self):
         spec = bounds_spec(25, tuple(range(25)), [-1.0] * 25, [1.0] * 25)
         with pytest.raises(CapExceededError):
-            next(vertex_profiles(spec, cap=20))
+            next(vertex_profiles(spec))
 
 
 class TestGreedy:

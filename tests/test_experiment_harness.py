@@ -164,14 +164,6 @@ class TestBetaSweepClosedForm:
         assert [r.beta for r in rows] == [-2.5, -1.0, 0.0, 0.4]
         assert all(np.isfinite([r.kl, r.mi]).all() for r in rows)
 
-    def test_leaves_G_unbuilt(self, case9_model):
-        # G is O(m l^2) of work that only the n x n core reads.
-        stats = build_scenario(case9_model, 0.5, 30.0)
-        assert "G" not in vars(stats)
-        beta_sweep(case9_model, stats, [-2.5, -1.0, 0.4])
-        assert "G" not in vars(stats)
-        assert stats.G is stats.G
-
     def test_chunked_grid_matches_single_points(self, case14_model, case14_stats):
         grid = np.linspace(-3.0, 1.0, _BETA_CHUNK + 3)
         rows = beta_sweep(case14_model, case14_stats, grid)

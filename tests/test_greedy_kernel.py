@@ -100,7 +100,7 @@ def test_maintained_trace_and_logdet_match_recomputation(case, scenario):
         phi, trace, logdet = ev._sweep(lows, highs, refine)
         for row, tr, ld in zip(phi, trace, logdet):
             c = (1.0 + row)[:, None] * ev._F
-            m = c.T @ ev._G @ c
+            m = c.T @ ev.G @ c
             assert tr == pytest.approx(np.trace(m), rel=1e-12)
             assert ld == pytest.approx(np.linalg.slogdet(np.eye(model.n) + m)[1], rel=1e-12)
 
@@ -145,7 +145,7 @@ def test_kl_relative_precision_near_full_cancellation(case, scenario):
         for _ in range(20):
             phi = -1.0 + eps * rng.uniform(-1.0, 1.0, model.l)
             c = (1.0 + phi)[:, None] * ev._F
-            lam = np.clip(np.linalg.eigvalsh(c.T @ ev._G @ c), 0.0, None)
+            lam = np.clip(np.linalg.eigvalsh(c.T @ ev.G @ c), 0.0, None)
             expected = x_minus_log1p(lam).sum()
             assert ev.objective(phi) == pytest.approx(expected, rel=1e-6)
             assert ev.objective(phi) == 2.0 * ev.metrics(phi)[0]
@@ -196,7 +196,7 @@ def test_gram_blocks_from_the_fold(case30_model, case30_stats):
     J, F = oracles.J(case30_model), case30_stats.F
     assert np.array_equal(ev._JtJ, J.T @ J)
     gram = F.T @ (J.T @ J) @ F
-    assert np.abs(ev._JF_gram - gram).max() <= 1e-13 * np.abs(gram).max()
+    assert np.abs(ev.stats.gram - gram).max() <= 1e-13 * np.abs(gram).max()
 
 
 def test_package_does_not_import_scipy():

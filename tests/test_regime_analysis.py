@@ -1,19 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stealthdeg import (
     IncompletenessSpec,
     ObjectiveEvaluator,
     RegimeLabel,
+    build_model,
+    build_scenario,
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
     delta_matrix,
     evaluate,
+    load_case,
 )
-from stealthdeg.attack_engine import state_edge_cov
+from stealthdeg.attack_engine import delta_from_state_cov, state_edge_cov
 
 from oracles import (
+    branch_blocks,
     cov_signal,
     covariance_from_delta,
     interaction_eig_bounds,
@@ -212,6 +219,48 @@ class TestSoundness:
             mi = mutual_information(cov_signal(case14_model, case14_stats), t, case14_stats.sigma2)
             assert kl <= kl_opt + 1e-9
             assert mi >= mi_opt - 1e-9
+
+
+@pytest.mark.parametrize("case, sizes", [
+    ("case9", [6, 1, 1, 1]), ("case14", [19, 1]), ("case30", [35, 3, 1, 1, 1]),
+])
+def test_branch_blocks(case, sizes):
+    blocks = branch_blocks(build_model(load_case(case)))
+    assert sorted(np.bincount(blocks), reverse=True) == sizes
+
+
+@functools.cache
+def _block_scenario(case):
+    """Branch blocks, W and the evaluator of a bundled case at 30 dB."""
+    model = build_model(load_case(case))
+    stats = build_scenario(model, 0.5, 30.0)
+    return (branch_blocks(model), state_edge_cov(model, stats.sigma_xx),
+            ObjectiveEvaluator(model, stats))
+
+
+@pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_regime_orders_metrics_block_constant_phi(case, data):
+    # Beyond the uniform family: phi constant on each block of the branch
+    # graph, all in (0, 1) or all in (-1, 0).  About half of these deltas
+    # are definite, and the label orders kl and mi as it does for phi =
+    # beta * ones.
+    blocks, w, ev = _block_scenario(case)
+    sign = data.draw(st.sampled_from([1.0, -1.0]))
+    count = int(blocks.max()) + 1
+    values = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                min_size=count, max_size=count))
+    phi = sign * np.array(values)[blocks]
+    label = classify_delta(delta_from_state_cov(w, phi))
+    kl, mi = ev.metrics(phi)
+    kl_opt, mi_opt = ev.baseline()
+    if label is LESS:
+        assert kl >= kl_opt * (1.0 - 1e-12)
+        assert mi <= mi_opt * (1.0 + 1e-12)
+    elif label is MORE:
+        assert kl <= kl_opt * (1.0 + 1e-12)
+        assert mi >= mi_opt * (1.0 - 1e-12)
 
 
 def eigvalsh_label(delta, tol_scale=1e-9):

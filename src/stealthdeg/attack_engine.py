@@ -140,14 +140,10 @@ def mtd_admittance(b_prime, spec):
     """
     b_prime = np.asarray(b_prime, dtype=float)
     out = b_prime.copy()
-    zeroed = []
+    zeroed = spec.zeroed_indices()
     for i in spec.support:
-        if spec.phi[i] == -1.0:
-            out[i] = 0.0
-            zeroed.append(i)
-        else:
-            out[i] = b_prime[i] / (1.0 + spec.phi[i])
-    return MtdAdjustment(admittance=out, zeroed=tuple(zeroed))
+        out[i] = 0.0 if i in zeroed else b_prime[i] / (1.0 + spec.phi[i])
+    return MtdAdjustment(admittance=out, zeroed=zeroed)
 
 
 def write_spec_csv(spec, fh):

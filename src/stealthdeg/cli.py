@@ -27,7 +27,7 @@ from .errors import (
 )
 from .experiment_harness import POINT_CAP, fmt17
 from .grid_model import build_model, jacobian
-from .regime_analysis import _label_of_eigs, classify_uniform_ratio, definiteness_conditions
+from .regime_analysis import classify_ratio, definiteness_conditions
 from .stochastics import build_scenario, toeplitz_cov
 
 _NUMERICAL_ERRORS = (NotPSDError, SingularityError, DomainError,
@@ -149,10 +149,7 @@ def _cmd_classify(args):
         eigs = _finite(np.linalg.eigvalsh(sym), "an eigenvalue of delta")
         conditions = definiteness_conditions(spec.phi)
     _finite([conditions.lhs_psd, conditions.lhs_nsd], "a sufficient-condition margin")
-    # A uniform phi takes the exact sign of 2 beta + beta^2, as sweep-beta does.
-    uniform = (spec.phi == spec.phi[0]).all()
-    label = classify_uniform_ratio(float(spec.phi[0])) if uniform else _label_of_eigs(eigs)
-    print(f"regime = {label.value}")
+    print(f"regime = {classify_ratio(spec.phi, eigs).value}")
     print(f"delta_eig_min = {fmt17(eigs[0])}")
     print(f"delta_eig_max = {fmt17(eigs[-1])}")
     print(f"sufficient_psd_lhs = {fmt17(conditions.lhs_psd)} "

@@ -124,16 +124,19 @@ class ObjectiveEvaluator:
     sigma_xx = L L^T.  Sylvester's identity then gives, on n x n matrices,
 
         2 kl = tr(M) - log|I + M|,   M = C^T G C,   G = J^T S J,
-        2 mi = log|I + P^T P / sigma2| - log|I + K^T K / sigma2|,
+        2 mi = sum log1p(mu) + log|I + M| - log|I + K_C^T K_C / sigma2|,
 
-    with K = J C and P = [K, J F]; the objective is 2 kl.  F, the folded
-    J F and its Gram (J F)^T J F are read from
-    :class:`~stealthdeg.stochastics.ScenarioStats`, G is built from them
-    (below), and J^T J = A A^T + 2 I comes from the model's incidence.
-    Log-determinants come from Cholesky pivots of matrices no smaller than
-    I.  Ratio vectors of the uniform family phi = beta * ones, phi = 0 among
-    them, take their values from the closed form of :func:`uniform_metrics`
-    instead, which does not cancel at high SNR.
+    with K_C = J C and mu = signal_eigs / sigma2; the objective is 2 kl.  mi
+    is log|I + P^T P / sigma2| - log|I + K_C^T K_C / sigma2|, P = [J F, K_C],
+    and the Schur complement of that Gram's leading block is
+    I + K_C^T (sigma2 I + J F F^T J^T)^-1 K_C = I + M (push-through), so kl
+    and mi share one factor of I + M.  F, the folded J F and its Gram
+    (J F)^T J F are read from :class:`~stealthdeg.stochastics.ScenarioStats`,
+    G is built from them (below), and J^T J = A A^T + 2 I comes from the
+    model's incidence.  Log-determinants come from Cholesky pivots of n x n
+    matrices no smaller than I.  Ratio vectors of the uniform family
+    phi = beta * ones, phi = 0 among them, take their values from the closed
+    form of :func:`uniform_metrics` instead, which does not cancel at high SNR.
 
     Moving 1 + phi_i by e changes C by e e_i r^T with r = F[i], hence M by
     the symmetric rank-2 term  e (r u^T + u r^T) + e^2 G_ii r r^T  with
@@ -169,18 +172,19 @@ class ObjectiveEvaluator:
         self._origin = None
 
     def _kl(self, c):
-        """kl for C, or for a stack of them (..., l, n), as an array.
+        """(kl, log|I + M|) for C, or for a stack of them (..., l, n), as arrays.
 
         With I + M = L L^T, 2 kl = sum_{i>j} L_ij^2 + sum_i (x_i - log1p x_i)
         where x_i = L_ii^2 - 1: every term is >= 0, so nothing cancels as
-        phi nears -1 and M nears 0.
+        phi nears -1 and M nears 0.  log|I + M| = sum_i log1p x_i.
         """
         m = np.swapaxes(c, -1, -2) @ (self.G @ c)
         chol = np.linalg.cholesky(self._eye + m)
         lower = np.tril(chol, -1)
         x = np.diagonal(chol, axis1=-2, axis2=-1) ** 2 - 1.0
-        kl = 0.5 * ((lower * lower).sum(axis=(-2, -1)) + (x - np.log1p(x)).sum(axis=-1))
-        return _finite(np.asarray(kl), "the KL divergence")
+        log1p = np.log1p(x)
+        kl = 0.5 * ((lower * lower).sum(axis=(-2, -1)) + (x - log1p).sum(axis=-1))
+        return _finite(np.asarray(kl), "the KL divergence"), log1p.sum(axis=-1)
 
     def objective(self, phi):
         """Detectability objective (twice the KL divergence) at phi.
@@ -192,7 +196,7 @@ class ObjectiveEvaluator:
         # A huge finite ratio overflows C or M; the check in _kl (or a failed
         # Cholesky) makes that a numerical error rather than a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            kl = self._kl((1.0 + phi)[..., :, None] * self._F)
+            kl = self._kl((1.0 + phi)[..., :, None] * self._F)[0]
         uniform = _uniform_rows(phi)
         if uniform.any():
             kl[uniform] = uniform_metrics(self.stats, phi[uniform, 0])[0]
@@ -208,27 +212,19 @@ class ObjectiveEvaluator:
         """(kl, mi) of the attack built from phi.
 
         ``phi`` may be one ratio vector or a stack (..., l); a stack gives
-        arrays of kl and mi.  P^T P is assembled block by block in one
-        (..., 2n, 2n) buffer, then scaled and shifted by I in place.
+        arrays of kl and mi.  mi reuses kl's log|I + M| (class docstring) and
+        factors only I + K_C^T K_C / sigma2 = I + C^T J^T J C / sigma2 more.
         """
         phi = np.asarray(phi, dtype=float)
-        n = self.model.n
         # Overflow from a huge finite ratio is caught as in :meth:`objective`.
         with np.errstate(over="ignore", invalid="ignore"):
             c = (1.0 + phi)[..., :, None] * self._F
-            q = self._JtJ @ c
-            ptp = np.empty(phi.shape[:-1] + (2 * n, 2 * n))
-            np.matmul(np.swapaxes(c, -1, -2), q, out=ptp[..., :n, :n])
-            np.matmul(np.swapaxes(q, -1, -2), self._F, out=ptp[..., :n, n:])
-            ptp[..., n:, :n] = np.swapaxes(ptp[..., :n, n:], -1, -2)
-            ptp[..., n:, n:] = self.stats.gram
-            ptp /= self.stats.sigma2
-            np.einsum("...ii->...i", ptp)[...] += 1.0
-            # The leading n pivots of I + P^T P are those of I + K^T K, so mi is
-            # the sum of the logs of the trailing n.
-            pivots = np.diagonal(np.linalg.cholesky(ptp), axis1=-2, axis2=-1)
-            mi = np.asarray(np.log(_finite(pivots, "a pivot of I + P^T P")[..., n:]).sum(axis=-1))
-            kl = self._kl(c)
+            kl, logdet_m = self._kl(c)
+            kck = np.swapaxes(c, -1, -2) @ (self._JtJ @ c) / self.stats.sigma2
+            pivots = np.diagonal(np.linalg.cholesky(self._eye + kck), axis1=-2, axis2=-1)
+            log_kck = 2.0 * np.log(_finite(pivots, "a pivot of I + K_C^T K_C")).sum(axis=-1)
+            signal = np.log1p(self.stats.signal_eigs / self.stats.sigma2).sum()
+            mi = np.asarray(0.5 * (signal + logdet_m - log_kck))
         uniform = _uniform_rows(phi)
         if uniform.any():
             kl[uniform], mi[uniform] = uniform_metrics(self.stats, phi[uniform, 0])

@@ -107,3 +107,13 @@ def classify_uniform_ratio(beta):
     if c > 0.0:
         return RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE
     return RegimeLabel.MORE_STEALTHY_LESS_DESTRUCTIVE
+
+
+def classify_ratio(phi, eigs):
+    """Regime of ratio vector ``phi`` with delta's ascending eigenvalues
+    ``eigs``: the exact sign of 2 beta + beta^2 for phi = beta * ones, as in
+    ``sweep-beta``, else the tolerance label of ``eigs``."""
+    phi = np.asarray(phi, dtype=float)
+    if (phi == phi[0]).all():
+        return classify_uniform_ratio(float(phi[0]))
+    return _label_of_eigs(eigs)

@@ -4,6 +4,7 @@ import pytest
 from stealthdeg import (
     IncompletenessSpec,
     NotPSDError,
+    ObjectiveEvaluator,
     evaluate,
 )
 
@@ -231,3 +232,21 @@ class TestEvaluate:
         assert mutual_information(u_p, t_p, case9_stats.sigma2) == pytest.approx(
             mi, rel=1e-9
         )
+
+    def test_metrics_takes_two_n_by_n_factors(self, case9_model, case9_stats, monkeypatch):
+        # kl and mi share the factor of I + M; mi's only other one is of
+        # I + K_C^T K_C / sigma2.  No 2n x 2n Gram is factored.
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        phis = np.random.default_rng(3).uniform(-1.0, 1.0, (2, 4, case9_model.l))
+        cholesky, shapes = np.linalg.cholesky, []
+
+        def counting(mat):
+            shapes.append(mat.shape)
+            return cholesky(mat)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        kl, mi = ev.metrics(phis)
+        monkeypatch.undo()
+        n = case9_model.n
+        assert shapes == [(2, 4, n, n)] * 2
+        assert kl.shape == mi.shape == (2, 4)

@@ -87,13 +87,7 @@ def _model_for(args):
     return build_model(load_case(args.case))
 
 
-def _check_rho(rho):
-    if not 0.0 <= rho < 1.0:
-        raise ValidationError(f"rho must lie in [0, 1), got {rho}")
-
-
 def _scenario_for(args, model):
-    _check_rho(args.rho)
     return build_scenario(model, args.rho, args.snr_db)
 
 
@@ -133,7 +127,6 @@ def _cmd_dump_model(args):
 
 def _cmd_classify(args):
     model = _model_for(args)
-    _check_rho(args.rho)
     if (args.spec is None) == (args.beta is None):
         raise ValidationError("classify needs exactly one of --spec or --beta")
     if args.beta is not None:
@@ -201,14 +194,11 @@ def _run_maximize(args):
     model = _model_for(args)
     stats = _scenario_for(args, model)
     spec = _read_spec(args.bounds, model.l)
+    ev = degradation_opt.ObjectiveEvaluator(model, stats)
     if args.oracle:
-        result, _ = degradation_opt.maximize_with_oracle(
-            model, stats, spec, refine=args.refine
-        )
+        result, _ = degradation_opt.maximize_with_oracle(ev, spec, refine=args.refine)
     else:
-        result = degradation_opt.greedy_maximize(
-            model, stats, spec, refine=args.refine
-        )
+        result = degradation_opt.greedy_maximize(ev, spec, refine=args.refine)
     return model, spec, result
 
 

@@ -10,11 +10,12 @@ information the operator still obtains about the states:
 
 ``evaluate`` reports both next to their optima at phi = 0 (complete
 information).  The objective f is convex in phi, so its maximum over the box
-phi_min <= phi <= phi_max sits at a vertex.  ``exhaustive_maximize``
-enumerates the up-to-2^k vertices lazily and scores them in stacks;
-``greedy_maximize`` picks one bound per coordinate in a single ascending
-sweep, which has no global optimality guarantee but is measured against the
-exhaustive oracle in the test suite.  The sweep runs on
+phi_min <= phi <= phi_max sits at a vertex.  ``exhaustive_maximize(ev,
+spec)`` enumerates the up-to-2^k vertices lazily and scores them in stacks;
+``greedy_maximize(ev, spec)`` picks one bound per coordinate in a single
+ascending sweep, which has no global optimality guarantee but is measured
+against the exhaustive oracle in the test suite.  Both score with the
+:class:`ObjectiveEvaluator` ``ev`` they are given.  The sweep runs on
 :meth:`ObjectiveEvaluator.greedy`, which moves many boxes in lockstep and
 scores each bound by a rank-2 update instead of a fresh evaluation.
 """
@@ -387,26 +388,25 @@ def _result(ev, spec, phi):
     )
 
 
-def greedy_maximize(model, stats, spec, *, refine=False, evaluator=None):
+def greedy_maximize(ev, spec, *, refine=False):
     """One ascending sweep choosing the better bound per support index.
 
-    Undecided coordinates are held at zero while sweeping; ties go to the
-    lower bound.  ``refine=True`` enables an extension beyond the single
-    sweep: coordinates are re-swept (still vertex-constrained) until no
-    choice changes.  See :meth:`ObjectiveEvaluator.greedy`.
+    ``ev`` scores ``spec``.  Undecided coordinates are held at zero while
+    sweeping; ties go to the lower bound.  ``refine=True`` enables an
+    extension beyond the single sweep: coordinates are re-swept (still
+    vertex-constrained) until no choice changes.  See
+    :meth:`ObjectiveEvaluator.greedy`.
     """
-    ev = evaluator or ObjectiveEvaluator(model, stats)
     phi = ev.greedy(spec.phi_min, spec.phi_max, refine=refine)[0]
     return _result(ev, spec, phi)
 
 
-def exhaustive_maximize(model, stats, spec, *, evaluator=None):
+def exhaustive_maximize(ev, spec):
     """Global optimum over the vertex set (small supports only).
 
-    Vertices are scored in stacks.  Winners are ordered by (objective,
+    ``ev`` scores the vertices in stacks.  Winners are ordered by (objective,
     lexicographic vertex) so the result does not depend on evaluation order.
     """
-    ev = evaluator or ObjectiveEvaluator(model, stats)
     vertices = vertex_profiles(spec)
     best_phi, best_key = None, None
     while chunk := list(itertools.islice(vertices, _VERTEX_CHUNK)):
@@ -419,14 +419,13 @@ def exhaustive_maximize(model, stats, spec, *, evaluator=None):
     return _result(ev, spec, best_phi)
 
 
-def maximize_with_oracle(model, stats, spec, *, refine=False, evaluator=None):
+def maximize_with_oracle(ev, spec, *, refine=False):
     """Greedy result annotated with its measured gap to the exhaustive optimum.
 
-    ``refine`` is passed to :func:`greedy_maximize`.
+    Both searches score with ``ev``; ``refine`` goes to :func:`greedy_maximize`.
     """
-    ev = evaluator or ObjectiveEvaluator(model, stats)
-    greedy = greedy_maximize(model, stats, spec, refine=refine, evaluator=ev)
-    exact = exhaustive_maximize(model, stats, spec, evaluator=ev)
+    greedy = greedy_maximize(ev, spec, refine=refine)
+    exact = exhaustive_maximize(ev, spec)
     if exact.objective <= 0.0:
         gap = 0.0
     else:

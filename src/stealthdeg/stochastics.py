@@ -61,7 +61,7 @@ class ScenarioStats:
 def toeplitz_cov(n, rho):
     """Toeplitz state covariance with entries rho^|i-j|."""
     if not 0.0 <= rho < 1.0:
-        raise DomainError(f"rho must lie in [0, 1), got {rho}")
+        raise ValidationError(f"rho must lie in [0, 1), got {rho}")
     idx = np.arange(n)
     return (rho ** idx)[np.abs(idx[:, None] - idx[None, :])]
 

@@ -109,7 +109,7 @@ def _run_oracle_study(model, stats):
     for draw in range(50):
         lo, hi = sample_bounds(0, draw, support, 1.0, model.l)
         spec = IncompletenessSpec.from_bounds(support, lo, hi)
-        greedy, exact = maximize_with_oracle(model, stats, spec, evaluator=ev)
+        greedy, exact = maximize_with_oracle(ev, spec)
         rows.append((draw, spec, greedy, exact))
     buf = io.StringIO()
     buf.write("draw,greedy_objective,exhaustive_objective,oracle_gap,digest\n")

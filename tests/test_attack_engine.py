@@ -254,6 +254,20 @@ class TestEquivalenceResidual:
             art = attack_covariances(case9_model, case9_stats, spec)
             assert equivalence_residual(art, case9_model) <= 1e-10
 
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_delta_route_property(self, data, case9_model, case9_stats, case14_model,
+                                  case14_stats, case30_model, case30_stats):
+        # cov_incomplete = cov_optimal + J diag(b) delta diag(b) J^T for any
+        # ratio vector, with branches zeroed (phi = -1) or left exact (0).
+        model, stats = data.draw(st.sampled_from([
+            (case9_model, case9_stats), (case14_model, case14_stats),
+            (case30_model, case30_stats)]))
+        coordinate = st.one_of(st.sampled_from([-1.0, 0.0]), st.floats(-3.0, 3.0))
+        phi = data.draw(st.lists(coordinate, min_size=model.l, max_size=model.l))
+        art = attack_covariances(model, stats, IncompletenessSpec.from_phi(np.array(phi)))
+        assert equivalence_residual(art, model) <= 1e-10
+
     def test_uniform_on_ring(self, ring_model):
         from stealthdeg import build_scenario
 

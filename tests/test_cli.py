@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ import stealthdeg
 from stealthdeg import (
     IncompletenessSpec,
     NotPSDError,
+    ObjectiveEvaluator,
     classify_delta,
     delta_matrix,
+    load_case,
     toeplitz_cov,
 )
-from stealthdeg.case_ingest import bundled_case_text
+from stealthdeg.case_ingest import bundled_case_text, render_case
 from stealthdeg.cli import (
     POINT_CAP,
     main,
@@ -321,6 +324,49 @@ def test_oracle_keeps_refine(command, tmp_path, capsys):
         printed[tuple(flags)] = (lines[0], out.read_bytes())
     assert printed[("--oracle", "--refine")] == printed[("--refine",)]
     assert printed[()][0] != printed[("--refine",)][0]
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["greedy", "oracle"])
+@pytest.mark.parametrize("command", ["maximize", "mtd-plan"])
+def test_maximize_builds_one_evaluator(command, oracle, bounds_file, tmp_path,
+                                       monkeypatch, capsys):
+    init, calls = ObjectiveEvaluator.__init__, []
+
+    def counting(self, model, stats):
+        calls.append(stats)
+        init(self, model, stats)
+
+    monkeypatch.setattr(ObjectiveEvaluator, "__init__", counting)
+    assert main([command, *SCENARIO, "--bounds", bounds_file, *oracle,
+                 "--out", str(tmp_path / "out.csv")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--case", "case9", "--beta", "0.5"],
+    ["maximize", "--case", "case9", "--snr-db", "30", "--bounds", "{bounds}",
+     "--out", "{out}"],
+])
+def test_bad_rho_is_one_validation_line(argv, bounds_file, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = [a.format(bounds=bounds_file, out=out) for a in argv]
+    assert main([*argv, "--rho", "1.5"]) == 2
+    assert capsys.readouterr().err == "error: rho must lie in [0, 1), got 1.5\n"
+    assert not out.exists()
+
+
+def test_zero_signal_power_is_three(tmp_path, capsys):
+    # Reactances of 1e300 give susceptances whose squares underflow, so the
+    # signal power is exactly 0: a numerical error, not a validation one.
+    case = load_case("case9")
+    case = replace(case, branches=tuple(replace(br, reactance_x=1e300)
+                                        for br in case.branches))
+    path = tmp_path / "case.m"
+    path.write_text(render_case(case))
+    assert main(["evaluate", "--case", str(path), *SCENARIO[2:], "--spec",
+                 str(tmp_path / "missing.csv")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical error: signal covariance has nonpositive trace 0.0\n")
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

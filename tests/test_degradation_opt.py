@@ -95,15 +95,15 @@ class TestVertexProfiles:
 class TestGreedy:
     def test_single_coordinate_matches_exhaustive(self, case9_model, case9_stats):
         spec = bounds_spec(case9_model.l, (3,), [-0.5], [0.5])
-        greedy = greedy_maximize(case9_model, case9_stats, spec)
-        exact = exhaustive_maximize(case9_model, case9_stats, spec)
+        greedy = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
+        exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         assert np.array_equal(greedy.phi_star, exact.phi_star)
         assert greedy.objective == exact.objective
 
     def test_all_pinned_short_circuits(self, case9_model, case9_stats):
         phi = np.linspace(-0.4, 0.4, case9_model.l)
         spec = IncompletenessSpec.from_phi(phi)
-        result = greedy_maximize(case9_model, case9_stats, spec)
+        result = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         assert np.array_equal(result.phi_star, phi)
         assert all(f is VertexChoice.PINNED for f in result.vertex_flags)
 
@@ -113,7 +113,7 @@ class TestGreedy:
         spec = bounds_spec(
             case9_model.l, tuple(range(case9_model.l)), pairs[:, 0], pairs[:, 1]
         )
-        result = greedy_maximize(case9_model, case9_stats, spec)
+        result = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         for i, flag in zip(spec.support, result.vertex_flags):
             assert result.phi_star[i] in (spec.phi_min[i], spec.phi_max[i])
             expected = (
@@ -127,14 +127,14 @@ class TestGreedy:
         spec = bounds_spec(
             case9_model.l, tuple(range(9)), [-0.8] * 9, [0.6] * 9
         )
-        a = greedy_maximize(case9_model, case9_stats, spec)
-        b = greedy_maximize(case9_model, case9_stats, spec)
+        a = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
+        b = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         assert np.array_equal(a.phi_star, b.phi_star)
         assert a.objective == b.objective
 
     def test_objective_matches_fresh_evaluation(self, case9_model, case9_stats):
         spec = bounds_spec(case9_model.l, tuple(range(9)), [-1.0] * 9, [1.0] * 9)
-        result = greedy_maximize(case9_model, case9_stats, spec)
+        result = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         fresh = detectability_objective(case9_model, case9_stats, result.phi_star)
         assert result.objective == pytest.approx(fresh, rel=1e-10)
 
@@ -145,8 +145,9 @@ class TestGreedy:
             spec = bounds_spec(
                 case9_model.l, tuple(range(case9_model.l)), pairs[:, 0], pairs[:, 1]
             )
-            plain = greedy_maximize(case9_model, case9_stats, spec)
-            refined = greedy_maximize(case9_model, case9_stats, spec, refine=True)
+            plain = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
+            refined = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec,
+                                      refine=True)
             assert refined.objective >= plain.objective - 1e-12
             for i in spec.support:
                 assert refined.phi_star[i] in (spec.phi_min[i], spec.phi_max[i])
@@ -155,7 +156,7 @@ class TestGreedy:
 class TestExhaustive:
     def test_two_coordinate_instance_by_hand(self, case9_model, case9_stats):
         spec = bounds_spec(case9_model.l, (1, 6), [-0.9, -0.3], [0.4, 0.8])
-        exact = exhaustive_maximize(case9_model, case9_stats, spec)
+        exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         ev = ObjectiveEvaluator(case9_model, case9_stats)
         best = -np.inf
         for a in (-0.9, 0.4):
@@ -169,7 +170,7 @@ class TestExhaustive:
         beta = -0.7
         phi = np.full(case9_model.l, beta)
         spec = IncompletenessSpec.from_phi(phi)
-        exact = exhaustive_maximize(case9_model, case9_stats, spec)
+        exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         assert exact.objective == pytest.approx(
             detectability_objective(case9_model, case9_stats, phi), rel=1e-12
         )
@@ -180,7 +181,7 @@ class TestExhaustive:
         spec = bounds_spec(
             case9_model.l, tuple(range(case9_model.l)), pairs[:, 0], pairs[:, 1]
         )
-        greedy, exact = maximize_with_oracle(case9_model, case9_stats, spec)
+        greedy, exact = maximize_with_oracle(ObjectiveEvaluator(case9_model, case9_stats), spec)
         assert greedy.objective <= exact.objective + 1e-12
         assert greedy.oracle_gap == pytest.approx(
             1.0 - greedy.objective / exact.objective, abs=1e-15
@@ -204,6 +205,21 @@ class TestConvexity:
                 case14_model, case14_stats, a, b, steps=50, evaluator=ev
             )
             assert gap <= 1e-8
+
+    @pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+    def test_random_segments_through_minus_one(self, case, request):
+        # About a fifth of each endpoint's coordinates sit exactly at -1,
+        # where that branch's attack column vanishes.
+        model = request.getfixturevalue(f"{case}_model")
+        stats = request.getfixturevalue(f"{case}_stats")
+        ev = ObjectiveEvaluator(model, stats)
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            a, b = rng.uniform(-2, 2, (2, model.l))
+            a[rng.random(model.l) < 0.2] = -1.0
+            b[rng.random(model.l) < 0.2] = -1.0
+            gap = convexity_gap_on_segment(model, stats, a, b, steps=50, evaluator=ev)
+            assert gap <= 1e-9 * max(1.0, ev.objective(a), ev.objective(b))
 
     def test_uniform_family_segment(self, case14_model, case14_stats):
         a = np.full(case14_model.l, -3.0)
@@ -299,9 +315,8 @@ def test_refined_gap_never_exceeds_greedy_gap(case9_model, case9_stats):
     for trial in range(50):
         lo, hi = sample_bounds(0, trial, support, 1.0, case9_model.l)
         spec = IncompletenessSpec.from_bounds(support, lo, hi)
-        greedy, exact = maximize_with_oracle(case9_model, case9_stats, spec, evaluator=ev)
-        refined, _ = maximize_with_oracle(case9_model, case9_stats, spec, refine=True,
-                                          evaluator=ev)
+        greedy, exact = maximize_with_oracle(ev, spec)
+        refined, _ = maximize_with_oracle(ev, spec, refine=True)
         assert refined.objective >= greedy.objective * (1.0 - 1e-11)
         assert refined.oracle_gap <= greedy.oracle_gap + 1e-11
         assert refined.objective <= exact.objective * (1.0 + 1e-12)

@@ -234,8 +234,8 @@ class TestTrials:
                 rng.choice(case9_model.l, size=1, replace=False)))
             lo, hi = _sample_bounds_from(rng, support, 1.0, case9_model.l)
             spec = IncompletenessSpec.from_bounds(support, lo, hi)
-            greedy = greedy_maximize(case9_model, case9_stats, spec)
-            exact = exhaustive_maximize(case9_model, case9_stats, spec)
+            greedy = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
+            exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
             assert greedy.objective == exact.objective
 
     def test_full_support_matches_alpha_montecarlo(self, case9_model, case9_stats):

@@ -87,7 +87,7 @@ def test_kernel_matches_sequential_greedy(case, refine, scenario):
         assert np.array_equal(phi, sequential_greedy(ev, spec, refine=refine))
     # A box alone takes the same vertex as inside its block.
     for spec, phi in zip(specs[:10], chosen):
-        alone = greedy_maximize(model, stats, spec, refine=refine, evaluator=ev)
+        alone = greedy_maximize(ev, spec, refine=refine)
         assert np.array_equal(alone.phi_star, phi)
 
 
@@ -166,8 +166,8 @@ def test_objective_at_zero_is_cached(case9_model, case9_stats):
     assert at_zero == ev.objective(np.zeros(case9_model.l))
     assert at_zero == 2.0 * ev.baseline()[0]
     spec = random_specs(case9_model.l, 1, seed=13)[0]
-    for result in (greedy_maximize(case9_model, case9_stats, spec, evaluator=ev),
-                   exhaustive_maximize(case9_model, case9_stats, spec, evaluator=ev)):
+    for result in (greedy_maximize(ev, spec),
+                   exhaustive_maximize(ev, spec)):
         assert result.objective_at_zero is at_zero
 
 

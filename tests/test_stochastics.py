@@ -50,7 +50,7 @@ def test_toeplitz_pd_sweep(rho):
 
 @pytest.mark.parametrize("rho", [-0.1, 1.0, 1.5])
 def test_toeplitz_domain(rho):
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         toeplitz_cov(4, rho)
 
 
@@ -335,7 +335,7 @@ def test_library_paths_never_build_m_by_m(case30_model):
     support = tuple(range(6))
     lo, hi = sample_bounds(0, 0, support, 1.0, model.l)
     greedy, exact = maximize_with_oracle(
-        model, stats, IncompletenessSpec.from_bounds(support, lo, hi))
+        ObjectiveEvaluator(model, stats), IncompletenessSpec.from_bounds(support, lo, hi))
     for phi in (greedy.phi_star, exact.phi_star):
         classify_delta(delta_matrix(model, stats.sigma_xx, IncompletenessSpec.from_phi(phi)))
     assert not {"cov_signal", "sigma_yy", "sigma_yy_inv"} & set(vars(stats))

@@ -68,10 +68,6 @@ class IncompletenessSpec:
     def l(self):
         return self.phi.shape[0]
 
-    @property
-    def k(self):
-        return len(self.support)
-
     def zeroed_indices(self):
         """Support indices whose ratio is exactly -1."""
         return tuple(i for i in self.support if self.phi[i] == -1.0)

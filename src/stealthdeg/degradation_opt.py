@@ -282,22 +282,23 @@ class ObjectiveEvaluator:
         trace = np.full(t, trace0)
         logdet = np.full(t, logdet0)
         phi = np.zeros((t, l))
+        bounds = np.stack([lows, highs])                 # (2, t, l)
         g_diag = np.diagonal(G)
         r_sq = np.einsum("ij,ij->i", F, F)
+        ru = np.empty((t, F.shape[1], 2))
         for sweep in range(51 if refine else 1):
             changed = np.full(t, sweep == 0)
             for i in range(l):
                 # Per box, the moves from phi_i to each bound: (2, t).
-                steps = np.stack([lows[:, i], highs[:, i]]) - phi[:, i]
+                steps = bounds[:, :, i] - phi[:, i]
                 if not steps.any():
                     continue
                 r = F[i]
                 u = ((1.0 + phi) * G[i]) @ F           # row i of G C, per box
-                inv_r = inv @ r
-                inv_u = (inv @ u[:, :, None])[:, :, 0]
-                a = inv_r @ r
-                c = np.einsum("tj,tj->t", inv_r, u)
-                d = np.einsum("tj,tj->t", inv_u, u)
+                ru[:, :, 0], ru[:, :, 1] = r, u
+                z = inv @ ru                           # [N r, N u], N = (I + M)^-1
+                a = z[:, :, 0] @ r
+                c, d = np.einsum("tjk,tj->kt", z, u)
                 g = g_diag[i]
                 with np.errstate(all="ignore"):
                     d_trace = 2.0 * steps * (u @ r) + steps ** 2 * g * r_sq[i]
@@ -306,19 +307,16 @@ class ObjectiveEvaluator:
                     gain = d_trace - np.log(det)
                 _finite(gain, "a greedy score")
                 high = gain[1] - gain[0] > _TIE_RTOL * (trace + np.abs(gain).sum(axis=0))
-                step, det, d_trace = (np.where(high, x[1], x[0]) for x in (steps, det, d_trace))
-                # Woodbury: (I + M')^-1 = N - Z X Z^T with Z = [N r, N u] and
+                e, det, d_trace = (np.where(high, x[1], x[0]) for x in (steps, det, d_trace))
+                # Woodbury: (I + M')^-1 = N - z X z^T with
                 # X = [[e^2 (g - d), e (1 + e c)], [e (1 + e c), -e^2 a]] / det.
-                x_rr = step ** 2 * (g - d) / det
-                x_ru = step * (1.0 + step * c) / det
-                x_uu = -(step ** 2) * a / det
-                left = x_rr[:, None] * inv_r + x_ru[:, None] * inv_u
-                right = x_ru[:, None] * inv_r + x_uu[:, None] * inv_u
-                inv -= np.stack([left, right], axis=2) @ np.stack([inv_r, inv_u], axis=1)
+                x_ru = e * (1.0 + e * c)
+                X = np.stack([e ** 2 * (g - d), x_ru, x_ru, -(e ** 2) * a], -1) / det[:, None]
+                inv -= (z @ X.reshape(t, 2, 2)) @ np.swapaxes(z, 1, 2)
                 trace += d_trace
                 logdet += np.log(det)
                 phi[:, i] = np.where(high, highs[:, i], lows[:, i])
-                changed |= step != 0.0
+                changed |= e != 0.0
             if not changed.any():
                 break
         return phi, trace, logdet
@@ -409,8 +407,8 @@ def exhaustive_maximize(ev, spec):
     """
     vertices = vertex_profiles(spec)
     best_phi, best_key = None, None
-    while chunk := list(itertools.islice(vertices, _VERTEX_CHUNK)):
-        stack = np.array(chunk)
+    row = (float, spec.l)
+    while len(stack := np.fromiter(itertools.islice(vertices, _VERTEX_CHUNK), dtype=row)):
         values = ev.objective(stack)
         for j in np.flatnonzero(values == values.max()):
             key = (float(values[j]), tuple(stack[j]))

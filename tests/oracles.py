@@ -299,13 +299,13 @@ def detectability_objective(model, stats, phi):
     return ObjectiveEvaluator(model, stats).objective(np.asarray(phi, dtype=float))
 
 
-def convexity_gap_on_segment(model, stats, phi_a, phi_b, steps=50, *, evaluator=None):
+def convexity_gap_on_segment(ev, phi_a, phi_b, steps=50):
     """Max violation of convexity sampled along a segment of ratio vectors.
 
-    Returns max over theta of f(mix) - (theta f(a) + (1-theta) f(b)); a
-    convex objective keeps this below numerical tolerance.
+    Returns max over theta of f(mix) - (theta f(a) + (1-theta) f(b)), f the
+    objective of the evaluator ``ev``; a convex objective keeps this below
+    numerical tolerance.
     """
-    ev = evaluator or ObjectiveEvaluator(model, stats)
     phi_a = np.asarray(phi_a, dtype=float)
     phi_b = np.asarray(phi_b, dtype=float)
     f_a = ev.objective(phi_a)

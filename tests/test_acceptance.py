@@ -294,9 +294,7 @@ def test_criterion_08_convexity_certificate(case14_model, case14_stats):
         for _ in range(100):
             a = rng.uniform(-2.0, 2.0, case14_model.l)
             b = rng.uniform(-2.0, 2.0, case14_model.l)
-            worst = max(worst, convexity_gap_on_segment(
-                case14_model, case14_stats, a, b, steps=50, evaluator=ev
-            ))
+            worst = max(worst, convexity_gap_on_segment(ev, a, b, steps=50))
         assert worst <= 1e-8
 
 

@@ -64,6 +64,13 @@ class TestIncompletenessSpec:
         with pytest.raises(ValidationError):
             IncompletenessSpec.from_phi(np.zeros(3), support=(3,))
 
+    @pytest.mark.parametrize("lo_len, hi_len", [(2, 3), (3, 4)],
+                             ids=["short-min", "long-max"])
+    def test_bounds_share_phi_length(self, lo_len, hi_len):
+        with pytest.raises(ValidationError, match="share one length"):
+            IncompletenessSpec(support=(0,), phi=np.zeros(3),
+                               phi_min=np.zeros(lo_len), phi_max=np.zeros(hi_len))
+
     def test_arrays_immutable(self):
         spec = IncompletenessSpec.uniform(3, 0.5)
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -198,6 +199,20 @@ def test_self_loop_rejected():
 def test_too_few_buses_rejected():
     with pytest.raises(ValidationError, match="at least 2"):
         GridCase(base_mva=100.0, buses=(1,), branches=(), reference_bus=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("base_mva", 0.0, "baseMVA must be positive and finite"),
+    ("base_mva", -100.0, "baseMVA must be positive and finite"),
+    ("base_mva", float("inf"), "baseMVA must be positive and finite"),
+    ("base_mva", float("nan"), "baseMVA must be positive and finite"),
+    ("buses", (1, 2, 3, 3), "duplicate bus ids"),
+    ("reference_bus", 7, "reference bus 7 is not a declared bus"),
+], ids=["base-zero", "base-negative", "base-inf", "base-nan", "duplicate-bus",
+        "reference-bus"])
+def test_invalid_case_field_rejected(ring_case, field, value, message):
+    with pytest.raises(ValidationError, match=message):
+        replace(ring_case, **{field: value})
 
 
 def test_in_service_filter_preserves_order(ring_case):

@@ -259,9 +259,11 @@ SCENARIO = ["--case", "case9", "--rho", "0.5", "--snr-db", "30"]
     (["evaluate", *SCENARIO, "--spec", "{csv}"], "branch_index,phi\n1,abc\n"),
     (["evaluate", *SCENARIO, "--spec", "{csv}"],
      "branch_index,phi_min,phi_max\n1,-0.5\n"),
+    (["evaluate", *SCENARIO, "--spec", "{csv}"], "branch_index,phi\n1.5,0.25\n"),
     (["classify", "--case", "case9", "--rho", "0.5", "--beta", "nan"], None),
     (["montecarlo-alpha", *SCENARIO, "--alphas", "nan", "--trials", "2",
       "--out", "{out}"], None),
+    (["montecarlo-alpha", *SCENARIO, "--alphas", ",", "--trials", "2", "--out", "{out}"], None),
     (["montecarlo-alpha", *SCENARIO, "--alphas", "1", "--trials", "2",
       "--seed=-1", "--out", "{out}"], None),
     (["sweep-beta", "--case", "case9", "--rho", "0.5", "--snr-db", "nan",
@@ -273,7 +275,8 @@ SCENARIO = ["--case", "case9", "--rho", "0.5", "--snr-db", "30"]
       "--out", "{out}"], None),
     (["sweep-k", *SCENARIO, "--ks", "2", "--trials", "1000000000000", "--out", "{out}"], None),
 ], ids=["spec-phi-nan", "bounds-phi-min-nan", "spec-phi-abc", "spec-short-row",
-        "beta-nan", "alphas-nan", "seed-negative", "snr-db-nan", "range-nan",
+        "spec-branch-index-fraction", "beta-nan", "alphas-nan", "alphas-comma",
+        "seed-negative", "snr-db-nan", "range-nan",
         "montecarlo-alpha-trials-huge", "sweep-k-trials-huge"])
 def test_bad_scalar_input_is_two(argv, csv_text, tmp_path, capsys):
     path = tmp_path / "in.csv"
@@ -308,6 +311,15 @@ def test_maximize_non_finite_score_is_three(oracle, tmp_path, capsys):
 def _bounds_csv(path, lo, hi):
     path.write_text("branch_index,phi_min,phi_max\n" + "".join(
         f"{i + 1},{lo[i]:.17g},{hi[i]:.17g}\n" for i in range(len(lo))))
+
+
+def test_oracle_gap_is_zero_when_the_optimum_is_zero(tmp_path, capsys):
+    # Every branch pinned at -1 cancels the attack: both searches score 0.
+    bounds = tmp_path / "bounds.csv"
+    _bounds_csv(bounds, [-1.0] * 9, [-1.0] * 9)
+    assert main(["maximize", *SCENARIO, "--bounds", str(bounds), "--oracle",
+                 "--out", str(tmp_path / "sol.csv")]) == 0
+    assert "oracle_gap = 0\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", ["maximize", "mtd-plan"])

@@ -192,7 +192,7 @@ class TestConvexity:
     def test_identical_endpoints(self, case14_model, case14_stats):
         phi = np.full(case14_model.l, 0.3)
         assert convexity_gap_on_segment(
-            case14_model, case14_stats, phi, phi, steps=10
+            ObjectiveEvaluator(case14_model, case14_stats), phi, phi, steps=10
         ) <= 1e-12
 
     def test_random_segments(self, case14_model, case14_stats):
@@ -201,9 +201,7 @@ class TestConvexity:
         for _ in range(20):
             a = rng.uniform(-2, 2, case14_model.l)
             b = rng.uniform(-2, 2, case14_model.l)
-            gap = convexity_gap_on_segment(
-                case14_model, case14_stats, a, b, steps=50, evaluator=ev
-            )
+            gap = convexity_gap_on_segment(ev, a, b, steps=50)
             assert gap <= 1e-8
 
     @pytest.mark.parametrize("case", ["case9", "case14", "case30"])
@@ -218,14 +216,31 @@ class TestConvexity:
             a, b = rng.uniform(-2, 2, (2, model.l))
             a[rng.random(model.l) < 0.2] = -1.0
             b[rng.random(model.l) < 0.2] = -1.0
-            gap = convexity_gap_on_segment(model, stats, a, b, steps=50, evaluator=ev)
+            gap = convexity_gap_on_segment(ev, a, b, steps=50)
             assert gap <= 1e-9 * max(1.0, ev.objective(a), ev.objective(b))
+
+    @pytest.mark.parametrize("h", [1e-3, 1e-4])
+    @pytest.mark.parametrize("case", ["case9", "case14", "case30"])
+    def test_short_segments_from_minus_one(self, case, h, request):
+        # A chord of length h clears a smooth convex f by only about
+        # h^2 f'' / 8, so the midpoint sees faults that long chords hide,
+        # such as a drop of f at the exact -1 coordinates of the start.
+        model = request.getfixturevalue(f"{case}_model")
+        ev = ObjectiveEvaluator(model, request.getfixturevalue(f"{case}_stats"))
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            a = rng.uniform(-2, 2, model.l)
+            a[rng.random(model.l) < 0.2] = -1.0
+            step = rng.standard_normal(model.l)
+            b = a + h * step / np.linalg.norm(step)
+            f_a, f_mid, f_b = ev.objective(np.stack([a, (a + b) / 2, b]))
+            assert f_mid - (f_a + f_b) / 2 <= 1e-9 * max(1.0, abs(f_a))
 
     def test_uniform_family_segment(self, case14_model, case14_stats):
         a = np.full(case14_model.l, -3.0)
         b = np.full(case14_model.l, 1.0)
         assert convexity_gap_on_segment(
-            case14_model, case14_stats, a, b, steps=50
+            ObjectiveEvaluator(case14_model, case14_stats), a, b, steps=50
         ) <= 1e-8
 
 

@@ -7,12 +7,7 @@ admittance information, classifies the degradation regime, and searches for
 the incompleteness profile that maximally degrades attack stealth.
 """
 
-from .attack_engine import (
-    IncompletenessSpec,
-    delta_matrix,
-    mtd_admittance,
-    perturbed_admittance,
-)
+from .attack_engine import IncompletenessSpec, mtd_admittance
 from .case_ingest import BranchRecord, GridCase, load_case, parse_case
 from .degradation_opt import (
     MetricsPoint,
@@ -30,7 +25,6 @@ from .errors import (
     DisconnectedGridError,
     DomainError,
     EmptyGridError,
-    NotPSDError,
     SingularityError,
     StealthdegError,
     UnreachableAlphaError,

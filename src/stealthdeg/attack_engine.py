@@ -96,32 +96,14 @@ class IncompletenessSpec:
         return cls.from_phi(np.full(l, float(beta)))
 
 
-@dataclass(frozen=True)
-class MtdAdjustment:
-    """Operator-side admittance targets plus the ratios that hit the 0 case."""
-
-    admittance: np.ndarray
-    zeroed: tuple
-
-
-def perturbed_admittance(b, spec):
-    """Believed susceptances: (1 + phi_i) b_i on support, b_i elsewhere."""
-    return (1.0 + spec.phi) * np.asarray(b, dtype=float)
-
-
 def state_edge_cov(model, sigma_xx):
     """W = A sigma_xx A^T, the covariance of the branch angle differences."""
     W = model.A @ sigma_xx @ model.A.T
     return (W + W.T) / 2.0
 
 
-def delta_matrix(model, sigma_xx, spec):
-    """Equivalent perturbation  Phi W + W Phi^T + Phi W Phi^T  (three terms)."""
-    W = state_edge_cov(model, sigma_xx)
-    return delta_from_state_cov(W, spec.phi)
-
-
 def delta_from_state_cov(W, phi):
+    """Equivalent perturbation  Phi W + W Phi^T + Phi W Phi^T  (three terms)."""
     # outer(phi, phi) * W keeps the quadratic term bitwise symmetric.
     pw = phi[:, None] * W
     return pw + pw.T + np.outer(phi, phi) * W
@@ -131,23 +113,15 @@ def mtd_admittance(b_prime, spec):
     """Operator-side susceptances realizing the requested ratios.
 
     b_i = b'_i / (1 + phi_i) on the support (undefined at phi_i = -1, which
-    maps to 0 and is reported in ``zeroed``); off support unchanged.  Exact
-    inverse of :func:`perturbed_admittance` whenever no ratio equals -1.
+    maps to 0: the branches of ``spec.zeroed_indices()``); off support
+    unchanged.  Exact inverse of b' = (1 + phi) b whenever no ratio equals -1.
     """
     b_prime = np.asarray(b_prime, dtype=float)
     out = b_prime.copy()
     zeroed = spec.zeroed_indices()
     for i in spec.support:
         out[i] = 0.0 if i in zeroed else b_prime[i] / (1.0 + spec.phi[i])
-    return MtdAdjustment(admittance=out, zeroed=zeroed)
-
-
-def write_spec_csv(spec, fh):
-    """Write support rows as ``branch_index,phi,phi_min,phi_max`` (1-based)."""
-    fh.write("branch_index,phi,phi_min,phi_max\n")
-    for i in spec.support:
-        fh.write("%d,%.17g,%.17g,%.17g\n"
-                 % (i + 1, spec.phi[i], spec.phi_min[i], spec.phi_max[i]))
+    return out
 
 
 def read_spec_csv(text, l):

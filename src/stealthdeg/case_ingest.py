@@ -232,11 +232,12 @@ def load_case(path_or_name):
     """Load a case from a filesystem path.  A name with no directory part
     that names no file falls back to the bundled case of that name.
 
-    The file must be UTF-8 text; other bytes raise :class:`CaseSyntaxError`.
+    The file must be UTF-8 text, with or without a byte-order mark; other
+    bytes raise :class:`CaseSyntaxError`.
     """
     try:
         with open(path_or_name, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except (FileNotFoundError, IsADirectoryError):
         pass
     except UnicodeDecodeError as exc:

@@ -18,20 +18,13 @@ import numpy as np
 from . import attack_engine, degradation_opt, experiment_harness
 from .case_ingest import load_case
 from .degradation_opt import _finite
-from .errors import (
-    DomainError,
-    NotPSDError,
-    SingularityError,
-    StealthdegError,
-    ValidationError,
-)
+from .errors import DomainError, SingularityError, StealthdegError, ValidationError
 from .experiment_harness import POINT_CAP, fmt17
 from .grid_model import build_model, jacobian
 from .regime_analysis import classify_ratio, definiteness_conditions
 from .stochastics import build_scenario, toeplitz_cov
 
-_NUMERICAL_ERRORS = (NotPSDError, SingularityError, DomainError,
-                     np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (SingularityError, DomainError, np.linalg.LinAlgError)
 
 
 class _UsageError(Exception):
@@ -94,7 +87,7 @@ def _scenario_for(args, model):
 def _read_spec(path, l):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            text = fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text (byte {exc.start})") from None
     return attack_engine.read_spec_csv(text, l)
@@ -137,7 +130,8 @@ def _cmd_classify(args):
     # A huge finite ratio overflows delta, its symmetric part or the margins;
     # each is checked, so the overflow is a numerical error, not a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = attack_engine.delta_matrix(model, sigma_xx, spec)
+        delta = attack_engine.delta_from_state_cov(
+            attack_engine.state_edge_cov(model, sigma_xx), spec.phi)
         sym = _finite((delta + delta.T) / 2.0, "the perturbation delta")
         eigs = _finite(np.linalg.eigvalsh(sym), "an eigenvalue of delta")
         conditions = definiteness_conditions(spec.phi)
@@ -221,15 +215,16 @@ def _cmd_mtd_plan(args):
     chosen = attack_engine.IncompletenessSpec.from_phi(
         result.phi_star, support=spec.support
     )
-    plan = attack_engine.mtd_admittance(model.b, chosen)
+    admittance = attack_engine.mtd_admittance(model.b, chosen)
+    zeroed = chosen.zeroed_indices()
     with open(args.out, "w", newline="\n") as fh:
         fh.write("branch_index,phi,admittance_target,zeroed\n")
         for i in spec.support:
             fh.write(f"{i + 1},{fmt17(result.phi_star[i])},"
-                     f"{fmt17(plan.admittance[i])},{int(i in plan.zeroed)}\n")
+                     f"{fmt17(admittance[i])},{int(i in zeroed)}\n")
     # Warned only once the plan is written, so a failed write stays one line.
-    if plan.zeroed:
-        branches = ",".join(str(i + 1) for i in plan.zeroed)
+    if zeroed:
+        branches = ",".join(str(i + 1) for i in zeroed)
         print(f"warning: ratio -1 on branch(es) {branches}; "
               "admittance target is 0 there", file=sys.stderr)
     print(f"objective = {fmt17(result.objective)}")

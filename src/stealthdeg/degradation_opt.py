@@ -169,7 +169,6 @@ class ObjectiveEvaluator:
         self._JtJ = A @ A.T + 2.0 * np.eye(l)
         self._eye = np.eye(n)
         self._baseline = None
-        self._objective_at_zero = None
         self._origin = None
 
     def _kl(self, c):
@@ -202,12 +201,6 @@ class ObjectiveEvaluator:
         if uniform.any():
             kl[uniform] = uniform_metrics(self.stats, phi[uniform, 0])[0]
         return 2.0 * kl[()]
-
-    def objective_at_zero(self):
-        """Objective of the complete-information attack (cached)."""
-        if self._objective_at_zero is None:
-            self._objective_at_zero = 2.0 * self.baseline()[0]
-        return self._objective_at_zero
 
     def metrics(self, phi):
         """(kl, mi) of the attack built from phi.
@@ -247,8 +240,10 @@ class ObjectiveEvaluator:
         still undecided are held at zero.  Pinned coordinates (low == high,
         zero off the support) are set without scoring.  ``refine=True``
         re-sweeps (still vertex-constrained, up to 50 more times) until no
-        box changes.  Boxes run in lockstep blocks, each independently of
-        the others.  Returns the chosen vertices, (T, l).
+        box changes.  The vertex depends on the sweep order 0..l-1: permuting
+        the branches permutes it only if the order is permuted too.  Boxes
+        run in lockstep blocks, each independently of the others.  Returns
+        the chosen vertices, (T, l).
         """
         lows = np.atleast_2d(np.asarray(lows, dtype=float))
         highs = np.atleast_2d(np.asarray(highs, dtype=float))
@@ -381,7 +376,7 @@ def _result(ev, spec, phi):
     return OptimizationResult(
         phi_star=phi,
         objective=ev.objective(phi),
-        objective_at_zero=ev.objective_at_zero(),
+        objective_at_zero=2.0 * ev.baseline()[0],
         vertex_flags=_flags_for(spec, phi),
     )
 
@@ -390,7 +385,8 @@ def greedy_maximize(ev, spec, *, refine=False):
     """One ascending sweep choosing the better bound per support index.
 
     ``ev`` scores ``spec``.  Undecided coordinates are held at zero while
-    sweeping; ties go to the lower bound.  ``refine=True`` enables an
+    sweeping; ties go to the lower bound.  The vertex depends on the sweep
+    order 0..l-1, as the paper's heuristic does.  ``refine=True`` enables an
     extension beyond the single sweep: coordinates are re-swept (still
     vertex-constrained) until no choice changes.  See
     :meth:`ObjectiveEvaluator.greedy`.

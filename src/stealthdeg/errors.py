@@ -35,10 +35,6 @@ class SingularityError(StealthdegError):
     """A factorization that should be positive definite failed."""
 
 
-class NotPSDError(StealthdegError):
-    """Matrix expected to be positive semidefinite is genuinely indefinite."""
-
-
 class CapExceededError(StealthdegError):
     """Exhaustive vertex enumeration was requested beyond the enumeration cap."""
 

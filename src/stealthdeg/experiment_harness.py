@@ -20,7 +20,7 @@ Both Monte-Carlo drivers run one trial loop, which draws each box straight
 into a row of (trials, l) bound arrays and builds no per-trial spec object.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +63,7 @@ class BetaRow:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One Monte-Carlo trial: budget, chosen vertex metrics and regime.
-
-    The chosen vertex is kept as float64 bytes, smaller than a tuple of
-    floats; no CSV prints it, and ``phi_star`` views it as a read-only array.
-    """
+    """One Monte-Carlo trial: budget, chosen vertex metrics and regime."""
 
     trial_id: int
     alpha: float
@@ -77,11 +73,6 @@ class TrialRecord:
     kl_opt: float
     mi_opt: float
     regime: RegimeLabel
-    _vertex: bytes = field(repr=False)
-
-    @property
-    def phi_star(self):
-        return np.frombuffer(self._vertex)
 
 
 def beta_sweep(model, stats, beta_grid):
@@ -187,7 +178,6 @@ def _run_trials(ev, seed, trials, batches):
                 kl_opt=kl_opt,
                 mi_opt=mi_opt,
                 regime=classify_delta(delta_from_state_cov(W, phi)),
-                _vertex=phi.tobytes(),
             ))
     return records
 

@@ -11,7 +11,7 @@ measurement basis, maps it to (sqrt(2) flow, 0).  The scenario and the
 metrics are therefore built from A and b alone (see
 :func:`~stealthdeg.stochastics.build_scenario`), and the model holds no
 m-row matrix.  H is built only on request, by :func:`jacobian`, for
-``dump-model`` and the rank check.
+``dump-model``.
 """
 
 from dataclasses import dataclass
@@ -20,8 +20,6 @@ import numpy as np
 
 from .case_ingest import in_service_branches
 from .errors import DisconnectedGridError
-
-RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -43,15 +41,12 @@ class GridModel:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Connectivity and numerical-rank diagnostics for a model."""
+    """Connectivity and rank diagnostics for a model."""
 
     connected: bool
     n_components: int
     rank: int
     full_rank: bool
-    sv_max: float
-    sv_min: float
-    tol: float
 
 
 def incidence_matrix(case):
@@ -121,19 +116,19 @@ def _connected_components(A):
 
 
 def check_connectivity_and_rank(model):
-    """Graph connectivity plus numerical rank of H via singular values."""
+    """Graph connectivity plus the rank of H, from the component count.
+
+    H = J diag(b) A has the rank of A, since J has full column rank
+    (J^T J = A A^T + 2 I) and every b_i is nonzero; a reduced incidence of
+    a graph on n + 1 buses with c components has rank n + 1 - c.
+    """
     n_components = _connected_components(model.A)
-    sv = np.linalg.svd(jacobian(model.A, model.b), compute_uv=False)
-    tol = RANK_TOL * sv[0]
-    rank = int(np.sum(sv > tol))
+    rank = model.n + 1 - n_components
     return StructureReport(
         connected=n_components == 1,
         n_components=n_components,
         rank=rank,
         full_rank=rank == model.n,
-        sv_max=float(sv[0]),
-        sv_min=float(sv[-1]),
-        tol=float(tol),
     )
 
 

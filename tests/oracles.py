@@ -6,7 +6,8 @@ and holds no m-row matrix.  The routes here compute the same quantities
 another way, on the stacking matrix J, the Jacobian H and the m x m
 measurement covariances of a scenario, or through the delta perturbation,
 so the paper's identities can be checked between them.  ``vertex_digest``
-hashes a chosen vertex, for comparing vertices across runs, and
+hashes a chosen vertex, for comparing vertices across runs,
+``write_spec_csv`` writes the spec files the CLI reads, and
 ``scan_blocks_reference`` is the earlier case-file scanner.  Nothing in the
 package imports this module.
 
@@ -29,19 +30,21 @@ import numpy as np
 from stealthdeg import (
     CaseSyntaxError,
     DomainError,
-    NotPSDError,
     ObjectiveEvaluator,
     SingularityError,
+    StealthdegError,
     definiteness_conditions,
-    delta_matrix,
     jacobian,
-    perturbed_admittance,
 )
 from stealthdeg.attack_engine import delta_from_state_cov, state_edge_cov
 
 # Negative eigenvalues above the error threshold are treated as roundoff and
 # clamped; below it the matrix is genuinely indefinite and surfaced.
 PSD_ERROR_SCALE = 1e-6
+
+
+class NotPSDError(StealthdegError):
+    """Matrix expected to be positive semidefinite is genuinely indefinite."""
 
 
 # -- the m-row matrices of a model and a scenario -----------------------------
@@ -180,6 +183,16 @@ def unfolded_G(model, stats):
 
 # -- the delta route ----------------------------------------------------------
 
+def perturbed_admittance(b, spec):
+    """Believed susceptances: (1 + phi_i) b_i on support, b_i elsewhere."""
+    return (1.0 + spec.phi) * np.asarray(b, dtype=float)
+
+
+def delta_matrix(model, sigma_xx, spec):
+    """Equivalent perturbation  Phi W + W Phi^T + Phi W Phi^T  of a spec."""
+    return delta_from_state_cov(state_edge_cov(model, sigma_xx), spec.phi)
+
+
 @dataclass(frozen=True, eq=False)
 class AttackArtifacts:
     """Matrices derived from one incompleteness spec.
@@ -212,8 +225,7 @@ def delta_matrix_hadamard(model, sigma_xx, spec):
     """Cross-check oracle: delta as a Hadamard product with W.
 
     Uses the rank-structured factor phi phi^T + phi 1^T + 1 phi^T applied
-    entrywise to W; must agree with :func:`stealthdeg.delta_matrix` to
-    roundoff.
+    entrywise to W; must agree with :func:`delta_matrix` to roundoff.
     """
     W = state_edge_cov(model, sigma_xx)
     phi = spec.phi
@@ -377,6 +389,14 @@ def vertex_digest(phi):
 
 
 # -- case files ---------------------------------------------------------------
+
+def write_spec_csv(spec, fh):
+    """Write support rows as ``branch_index,phi,phi_min,phi_max`` (1-based)."""
+    fh.write("branch_index,phi,phi_min,phi_max\n")
+    for i in spec.support:
+        fh.write("%d,%.17g,%.17g,%.17g\n"
+                 % (i + 1, spec.phi[i], spec.phi_min[i], spec.phi_max[i]))
+
 
 def scan_blocks_reference(text):
     """The line-by-line case scanner that ``case_ingest._scan_blocks``

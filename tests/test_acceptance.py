@@ -20,7 +20,6 @@ from stealthdeg import (
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
-    delta_matrix,
     evaluate,
     load_case,
     maximize_with_oracle,
@@ -44,6 +43,7 @@ from oracles import (
     convexity_gap_on_segment,
     cov_signal,
     covariance_from_delta,
+    delta_matrix,
     equivalence_residual,
     integrity_cost,
     interaction_eig_bounds,

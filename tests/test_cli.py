@@ -9,10 +9,9 @@ import pytest
 import stealthdeg
 from stealthdeg import (
     IncompletenessSpec,
-    NotPSDError,
     ObjectiveEvaluator,
+    SingularityError,
     classify_delta,
-    delta_matrix,
     load_case,
     toeplitz_cov,
 )
@@ -26,6 +25,8 @@ from stealthdeg.cli import (
 )
 from stealthdeg.errors import ValidationError
 from stealthdeg.experiment_harness import sample_bounds
+
+from oracles import delta_matrix
 
 BOUNDS_CSV = "branch_index,phi_min,phi_max\n" + "".join(
     f"{i},-1,1\n" for i in range(1, 10)
@@ -109,7 +110,7 @@ class TestExitCodes:
         import stealthdeg.cli as cli
 
         def boom(path):
-            raise NotPSDError("synthetic")
+            raise SingularityError("synthetic")
 
         monkeypatch.setattr(cli, "load_case", boom)
         assert cli.main(["dump-model", "--case", "case9"]) == 3
@@ -525,6 +526,37 @@ def test_non_utf8_file_is_two_without_traceback(which, tmp_path):
     assert "not UTF-8" in run.stderr
     assert len(run.stderr.splitlines()) == 1
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("which", ["case", "spec", "bounds"])
+def test_utf8_bom_is_skipped(which, tmp_path, capsys):
+    # A byte-order mark before the first assignment or the CSV header is
+    # skipped: the run prints what it prints without one.  The rendered case
+    # opens with mpc.baseMVA, which the mark would otherwise hide.
+    paths = {name: tmp_path / name for name in ("case", "spec", "bounds")}
+    paths["case"].write_text(render_case(load_case("case9")))
+    paths["spec"].write_text("branch_index,phi\n1,0.5\n")
+    paths["bounds"].write_text(BOUNDS_CSV)
+    if which == "bounds":
+        argv = ["maximize", "--bounds", str(paths["bounds"]), "--out", str(tmp_path / "out.csv")]
+    else:
+        argv = ["evaluate", "--spec", str(paths["spec"])]
+    argv += ["--case", str(paths["case"]), "--rho", "0.5", "--snr-db", "30"]
+    assert main(argv) == 0
+    plain = capsys.readouterr()
+    paths[which].write_bytes(b"\xef\xbb\xbf" + paths[which].read_bytes())
+    assert main(argv) == 0
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("which", ["case", "spec"])
+def test_bad_byte_after_bom_reports_file_offset(which, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xef\xbb\xbfab\xffc")
+    case, spec = (bad, "unused.csv") if which == "case" else ("case9", bad)
+    assert main(["evaluate", "--case", str(case), "--rho", "0.5", "--snr-db", "30",
+                 "--spec", str(spec)]) == 2
+    assert "not UTF-8 text (byte 5)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("ratio", [

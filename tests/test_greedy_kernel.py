@@ -113,7 +113,7 @@ def test_origin_state_matches_closed_form(case, snr_db, scenario):
     model = scenario[case][0]
     ev = ObjectiveEvaluator(model, build_scenario(model, 0.5, snr_db))
     _, trace, logdet = ev._origin_state()
-    at_zero = ev.objective_at_zero()
+    at_zero = 2.0 * ev.baseline()[0]
     assert abs((trace - logdet) - at_zero) <= 1e-14 * at_zero
 
 
@@ -162,13 +162,13 @@ def test_stacked_objective_matches_rows(case30_model, case30_stats):
 
 def test_objective_at_zero_is_cached(case9_model, case9_stats):
     ev = ObjectiveEvaluator(case9_model, case9_stats)
-    at_zero = ev.objective_at_zero()
+    at_zero = 2.0 * ev.baseline()[0]
     assert at_zero == ev.objective(np.zeros(case9_model.l))
     assert at_zero == 2.0 * ev.baseline()[0]
     spec = random_specs(case9_model.l, 1, seed=13)[0]
     for result in (greedy_maximize(ev, spec),
                    exhaustive_maximize(ev, spec)):
-        assert result.objective_at_zero is at_zero
+        assert result.objective_at_zero == at_zero
 
 
 def test_uniform_rows_take_the_closed_form(case9_model, case9_stats):

@@ -36,6 +36,10 @@ mpc.branch = [
 ];
 """
 
+# Five buses in three islands: 1-2, 3-4 and bus 5 alone.
+THREE_ISLANDS = ISLANDS.replace(
+    "];\nmpc.branch", " 5 1 0 0 0 0 1 1 0 345 1 1.1 0.9;\n];\nmpc.branch")
+
 
 def test_ring_incidence(ring_case):
     A = incidence_matrix(ring_case)
@@ -103,7 +107,7 @@ def test_connected_full_rank(fixture, n, request):
     assert report.n_components == 1
     assert report.rank == n
     assert report.full_rank
-    assert report.sv_min > report.tol
+    assert report.rank == np.linalg.matrix_rank(jacobian(model.A, model.b))
 
 
 def test_disconnected_islands_rejected():
@@ -118,6 +122,19 @@ def test_disconnected_islands_rejected():
     assert not report.connected
     assert report.n_components == 2
     assert report.rank < model.n
+
+
+def test_three_islands_rank_matches_svd():
+    case = parse_case(THREE_ISLANDS)
+    with pytest.raises(DisconnectedGridError):
+        build_model(case)
+    A = incidence_matrix(case)
+    b = susceptance_diag(case)
+    model = GridModel(A=A, b=b, n=4, l=2, m=8)
+    report = check_connectivity_and_rank(model)
+    assert not report.connected
+    assert report.n_components == 3
+    assert report.rank == np.linalg.matrix_rank(jacobian(A, b)) == 2
 
 
 @pytest.mark.parametrize("fixture", ["ring_model", "case9_model", "case14_model",

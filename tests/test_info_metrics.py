@@ -3,12 +3,12 @@ import pytest
 
 from stealthdeg import (
     IncompletenessSpec,
-    NotPSDError,
     ObjectiveEvaluator,
     evaluate,
 )
 
 from oracles import (
+    NotPSDError,
     cov_signal,
     integrity_cost,
     kl_divergence,

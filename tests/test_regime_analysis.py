@@ -13,7 +13,6 @@ from stealthdeg import (
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
-    delta_matrix,
     evaluate,
     load_case,
 )
@@ -23,6 +22,7 @@ from oracles import (
     branch_blocks,
     cov_signal,
     covariance_from_delta,
+    delta_matrix,
     interaction_eig_bounds,
     kl_divergence,
     mutual_information,

@@ -10,10 +10,8 @@ the incompleteness profile that maximally degrades attack stealth.
 from .attack_engine import IncompletenessSpec, mtd_admittance
 from .case_ingest import BranchRecord, GridCase, load_case, parse_case
 from .degradation_opt import (
-    MetricsPoint,
     ObjectiveEvaluator,
     OptimizationResult,
-    evaluate,
     exhaustive_maximize,
     greedy_maximize,
     maximize_with_oracle,

@@ -150,11 +150,13 @@ def _cmd_evaluate(args):
     model = _model_for(args)
     stats = _scenario_for(args, model)
     spec = _read_spec(args.spec, model.l)
-    point = degradation_opt.evaluate(model, stats, spec)
-    print(f"kl_nats = {fmt17(point.kl)}")
-    print(f"mi_nats = {fmt17(point.mi)}")
-    print(f"kl_opt_nats = {fmt17(point.kl_opt)}")
-    print(f"mi_opt_nats = {fmt17(point.mi_opt)}")
+    ev = degradation_opt.ObjectiveEvaluator(model, stats)
+    kl, mi = ev.metrics(spec.phi)
+    kl_opt, mi_opt = ev.baseline()
+    print(f"kl_nats = {fmt17(kl)}")
+    print(f"mi_nats = {fmt17(mi)}")
+    print(f"kl_opt_nats = {fmt17(kl_opt)}")
+    print(f"mi_opt_nats = {fmt17(mi_opt)}")
     return 0
 
 
@@ -193,17 +195,19 @@ def _run_maximize(args):
         result, _ = degradation_opt.maximize_with_oracle(ev, spec, refine=args.refine)
     else:
         result = degradation_opt.greedy_maximize(ev, spec, refine=args.refine)
-    return model, spec, result
+    return ev, spec, result
 
 
 def _cmd_maximize(args):
-    _, spec, result = _run_maximize(args)
+    ev, spec, result = _run_maximize(args)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("branch_index,phi_star,choice\n")
-        for i, flag in zip(spec.support, result.vertex_flags):
-            fh.write(f"{i + 1},{fmt17(result.phi_star[i])},{flag.value}\n")
+        for i in spec.support:
+            lo, hi, phi = spec.phi_min[i], spec.phi_max[i], result.phi_star[i]
+            choice = "PINNED" if lo == hi else "LOW" if phi == lo else "HIGH"
+            fh.write(f"{i + 1},{fmt17(phi)},{choice}\n")
     print(f"objective = {fmt17(result.objective)}")
-    print(f"objective_at_zero = {fmt17(result.objective_at_zero)}")
+    print(f"objective_at_zero = {fmt17(2.0 * ev.baseline()[0])}")
     if result.oracle_gap is not None:
         print(f"oracle_gap = {fmt17(result.oracle_gap)}")
     print(f"wrote vertex to {args.out}")
@@ -211,11 +215,11 @@ def _cmd_maximize(args):
 
 
 def _cmd_mtd_plan(args):
-    model, spec, result = _run_maximize(args)
+    ev, spec, result = _run_maximize(args)
     chosen = attack_engine.IncompletenessSpec.from_phi(
         result.phi_star, support=spec.support
     )
-    admittance = attack_engine.mtd_admittance(model.b, chosen)
+    admittance = attack_engine.mtd_admittance(ev.model.b, chosen)
     zeroed = chosen.zeroed_indices()
     with open(args.out, "w", newline="\n") as fh:
         fh.write("branch_index,phi,admittance_target,zeroed\n")

@@ -8,7 +8,7 @@ information the operator still obtains about the states:
     f(phi) = 2 kl = -log|I + S^1/2 T S^1/2| + tr(S^1/2 T S^1/2),
     mi = 1/2 log|I + U^1/2 (sigma2 I + T)^-1 U^1/2|,   U = H sigma_xx H^T.
 
-``evaluate`` reports both next to their optima at phi = 0 (complete
+:meth:`ObjectiveEvaluator.baseline` gives both at phi = 0 (complete
 information).  The objective f is convex in phi, so its maximum over the box
 phi_min <= phi <= phi_max sits at a vertex.  ``exhaustive_maximize(ev,
 spec)`` enumerates the up-to-2^k vertices lazily and scores them in stacks;
@@ -20,7 +20,6 @@ against the exhaustive oracle in the test suite.  Both score with the
 scores each bound by a rank-2 update instead of a fresh evaluation.
 """
 
-import enum
 import itertools
 from dataclasses import dataclass, replace
 
@@ -46,24 +45,13 @@ _SERIES_MAX = 0.1
 _SERIES = tuple((-1.0) ** k / k for k in range(18, 1, -1))
 
 
-class VertexChoice(enum.Enum):
-    LOW = "LOW"
-    HIGH = "HIGH"
-    PINNED = "PINNED"
-
-
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
-    """Chosen vertex, its objective, and bookkeeping for oracle comparison.
-
-    vertex_flags align with the profile's support order; oracle_gap is
-    1 - objective/objective_exhaustive when the oracle ran, else None.
-    """
+    """Chosen vertex and its objective.  oracle_gap is
+    1 - objective/objective_exhaustive when the oracle ran, else None."""
 
     phi_star: np.ndarray
     objective: float
-    objective_at_zero: float
-    vertex_flags: tuple
     oracle_gap: float = None
 
 
@@ -317,23 +305,6 @@ class ObjectiveEvaluator:
         return phi, trace, logdet
 
 
-@dataclass(frozen=True)
-class MetricsPoint:
-    """KL divergence and mutual information (nats) plus their optima."""
-
-    kl: float
-    mi: float
-    kl_opt: float
-    mi_opt: float
-
-
-def evaluate(model, stats, spec):
-    """Metrics of the incomplete-information attack described by ``spec``,
-    next to those of the complete-information attack (phi = 0)."""
-    ev = ObjectiveEvaluator(model, stats)
-    return MetricsPoint(*ev.metrics(spec.phi), *ev.baseline())
-
-
 def vertex_profiles(spec):
     """Lazily yield every vertex of the bound box, low/high per free index.
 
@@ -360,27 +331,6 @@ def vertex_profiles(spec):
         yield from chunk
 
 
-def _flags_for(spec, phi):
-    flags = []
-    for i in spec.support:
-        if spec.phi_min[i] == spec.phi_max[i]:
-            flags.append(VertexChoice.PINNED)
-        elif phi[i] == spec.phi_min[i]:
-            flags.append(VertexChoice.LOW)
-        else:
-            flags.append(VertexChoice.HIGH)
-    return tuple(flags)
-
-
-def _result(ev, spec, phi):
-    return OptimizationResult(
-        phi_star=phi,
-        objective=ev.objective(phi),
-        objective_at_zero=2.0 * ev.baseline()[0],
-        vertex_flags=_flags_for(spec, phi),
-    )
-
-
 def greedy_maximize(ev, spec, *, refine=False):
     """One ascending sweep choosing the better bound per support index.
 
@@ -392,14 +342,15 @@ def greedy_maximize(ev, spec, *, refine=False):
     :meth:`ObjectiveEvaluator.greedy`.
     """
     phi = ev.greedy(spec.phi_min, spec.phi_max, refine=refine)[0]
-    return _result(ev, spec, phi)
+    return OptimizationResult(phi, ev.objective(phi))
 
 
 def exhaustive_maximize(ev, spec):
     """Global optimum over the vertex set (small supports only).
 
     ``ev`` scores the vertices in stacks.  Winners are ordered by (objective,
-    lexicographic vertex) so the result does not depend on evaluation order.
+    lexicographic vertex) so the result does not depend on evaluation order;
+    the objective returned is the stacked score that rule compared.
     """
     vertices = vertex_profiles(spec)
     best_phi, best_key = None, None
@@ -410,7 +361,7 @@ def exhaustive_maximize(ev, spec):
             key = (float(values[j]), tuple(stack[j]))
             if best_key is None or key > best_key:
                 best_phi, best_key = stack[j], key
-    return _result(ev, spec, best_phi)
+    return OptimizationResult(best_phi, best_key[0])
 
 
 def maximize_with_oracle(ev, spec, *, refine=False):

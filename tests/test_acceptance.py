@@ -20,7 +20,6 @@ from stealthdeg import (
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
-    evaluate,
     load_case,
     maximize_with_oracle,
     sample_bounds,
@@ -184,27 +183,26 @@ def test_criterion_03_uniform_sweep_shape(case30_model, case30_stats,
 
 def test_criterion_04_regime_soundness(case14_model, case14_stats):
     with criterion(4, "regime ordering soundness"):
-        kl_opt, mi_opt = ObjectiveEvaluator(case14_model, case14_stats).baseline()
+        ev = ObjectiveEvaluator(case14_model, case14_stats)
+        kl_opt, mi_opt = ev.baseline()
         rng = np.random.default_rng(RNG_SEED_DRAWS + 2)
         psd_betas = np.concatenate(
             [rng.uniform(0.0, 2.0, 100), rng.uniform(-4.0, -2.0, 100)]
         )
         nsd_betas = rng.uniform(-2.0, 0.0, 200)
         for beta in psd_betas:
-            point = evaluate(
-                case14_model, case14_stats,
-                IncompletenessSpec.uniform(case14_model.l, float(beta)),
+            kl, mi = ev.metrics(
+                IncompletenessSpec.uniform(case14_model.l, float(beta)).phi
             )
             assert classify_uniform_ratio(float(beta)) in (LESS, RegimeLabel.BOUNDARY)
-            assert point.kl >= kl_opt - 1e-9
-            assert point.mi <= mi_opt + 1e-9
+            assert kl >= kl_opt - 1e-9
+            assert mi <= mi_opt + 1e-9
         for beta in nsd_betas:
-            point = evaluate(
-                case14_model, case14_stats,
-                IncompletenessSpec.uniform(case14_model.l, float(beta)),
+            kl, mi = ev.metrics(
+                IncompletenessSpec.uniform(case14_model.l, float(beta)).phi
             )
-            assert point.kl <= kl_opt + 1e-9
-            assert point.mi >= mi_opt - 1e-9
+            assert kl <= kl_opt + 1e-9
+            assert mi >= mi_opt - 1e-9
         for _ in range(100):
             g = rng.standard_normal((case14_model.l, case14_model.l))
             g *= rng.uniform(0.05, 2.0)

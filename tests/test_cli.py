@@ -24,7 +24,7 @@ from stealthdeg.cli import (
     parse_range,
 )
 from stealthdeg.errors import ValidationError
-from stealthdeg.experiment_harness import sample_bounds
+from stealthdeg.experiment_harness import fmt17, sample_bounds
 
 from oracles import delta_matrix
 
@@ -353,6 +353,37 @@ def test_maximize_builds_one_evaluator(command, oracle, bounds_file, tmp_path,
     assert main([command, *SCENARIO, "--bounds", bounds_file, *oracle,
                  "--out", str(tmp_path / "out.csv")]) == 0
     assert len(calls) == 1
+
+
+_SEEDED = np.sort(np.random.default_rng(2).uniform(-1, 1, (9, 2)), axis=1)
+_CHOICE_BOXES = {
+    "all-pinned": [(i + 1, p, p) for i, p in enumerate(np.linspace(-0.4, 0.4, 9))],
+    "seeded": [(i + 1, lo, hi) for i, (lo, hi) in enumerate(_SEEDED)],
+    "mixed": [(1, -0.5, 0.5), (2, 0.3, 0.3), (4, -1.0, 0.75), (5, -0.25, -0.25),
+              (7, -0.9, 1.2), (9, 0.0, 0.0)],
+}
+
+
+@pytest.mark.parametrize("rows", _CHOICE_BOXES.values(), ids=_CHOICE_BOXES.keys())
+def test_maximize_writes_choices_and_objective_at_zero(rows, case9_model, case9_stats,
+                                                       tmp_path, capsys):
+    bounds, out = tmp_path / "bounds.csv", tmp_path / "vertex.csv"
+    bounds.write_text("branch_index,phi_min,phi_max\n" + "".join(
+        f"{i},{fmt17(lo)},{fmt17(hi)}\n" for i, lo, hi in rows))
+    assert main(["maximize", *SCENARIO, "--bounds", str(bounds), "--out", str(out)]) == 0
+    at_zero = 2.0 * ObjectiveEvaluator(case9_model, case9_stats).baseline()[0]
+    assert f"objective_at_zero = {fmt17(at_zero)}" in capsys.readouterr().out.splitlines()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "branch_index,phi_star,choice"
+    assert len(lines) == len(rows) + 1
+    for (i, lo, hi), line in zip(rows, lines[1:]):
+        index, phi, choice = line.split(",")
+        assert int(index) == i
+        assert float(phi) in (lo, hi)
+        if lo == hi:
+            assert choice == "PINNED"
+        else:
+            assert choice == ("LOW" if float(phi) == lo else "HIGH")
 
 
 @pytest.mark.parametrize("argv", [

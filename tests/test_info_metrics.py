@@ -4,7 +4,6 @@ import pytest
 from stealthdeg import (
     IncompletenessSpec,
     ObjectiveEvaluator,
-    evaluate,
 )
 
 from oracles import (
@@ -178,38 +177,38 @@ class TestIntegrityCost:
 
 class TestEvaluate:
     def test_zero_ratio_hits_baseline(self, case9_model, case9_stats):
-        point = evaluate(
-            case9_model, case9_stats, IncompletenessSpec.uniform(case9_model.l, 0.0)
-        )
-        assert point.kl == point.kl_opt
-        assert point.mi == point.mi_opt
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        kl, mi = ev.metrics(IncompletenessSpec.uniform(case9_model.l, 0.0).phi)
+        kl_opt, mi_opt = ev.baseline()
+        assert kl == kl_opt
+        assert mi == mi_opt
 
     def test_full_cancellation(self, case9_model, case9_stats):
-        point = evaluate(
-            case9_model, case9_stats, IncompletenessSpec.uniform(case9_model.l, -1.0)
+        kl, mi = ObjectiveEvaluator(case9_model, case9_stats).metrics(
+            IncompletenessSpec.uniform(case9_model.l, -1.0).phi
         )
-        assert point.kl == 0.0
+        assert kl == 0.0
         m = case9_model.m
         no_attack_mi = mutual_information(
             cov_signal(case9_model, case9_stats), np.zeros((m, m)), case9_stats.sigma2
         )
-        assert point.mi == pytest.approx(no_attack_mi, rel=1e-12)
+        assert mi == pytest.approx(no_attack_mi, rel=1e-12)
 
     def test_ratio_symmetry(self, case9_model, case9_stats):
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
         for i in range(-6, 3):
             beta = i / 2.0
-            a = evaluate(case9_model, case9_stats,
-                         IncompletenessSpec.uniform(case9_model.l, beta))
-            b = evaluate(case9_model, case9_stats,
-                         IncompletenessSpec.uniform(case9_model.l, -2.0 - beta))
-            assert a.kl == pytest.approx(b.kl, rel=1e-9, abs=1e-9)
-            assert a.mi == pytest.approx(b.mi, rel=1e-9)
+            a_kl, a_mi = ev.metrics(IncompletenessSpec.uniform(case9_model.l, beta).phi)
+            b_kl, b_mi = ev.metrics(
+                IncompletenessSpec.uniform(case9_model.l, -2.0 - beta).phi)
+            assert a_kl == pytest.approx(b_kl, rel=1e-9, abs=1e-9)
+            assert a_mi == pytest.approx(b_mi, rel=1e-9)
 
     def test_kl_convex_along_uniform_family(self, case9_model, case9_stats):
         betas = [i / 20.0 for i in range(-60, 21)]
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
         kls = [
-            evaluate(case9_model, case9_stats,
-                     IncompletenessSpec.uniform(case9_model.l, b)).kl
+            ev.metrics(IncompletenessSpec.uniform(case9_model.l, b).phi)[0]
             for b in betas
         ]
         second = np.diff(kls, 2)

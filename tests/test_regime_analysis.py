@@ -13,7 +13,6 @@ from stealthdeg import (
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
-    evaluate,
     load_case,
 )
 from stealthdeg.attack_engine import delta_from_state_cov, state_edge_cov
@@ -182,18 +181,19 @@ class TestSoundness:
             rng.uniform(-4.0, -2.0, 20),
             rng.uniform(-2.0, 0.0, 40),
         ])
+        ev = ObjectiveEvaluator(case14_model, case14_stats)
+        kl_opt, mi_opt = ev.baseline()
         for beta in betas:
-            point = evaluate(
-                case14_model, case14_stats,
-                IncompletenessSpec.uniform(case14_model.l, float(beta)),
+            kl, mi = ev.metrics(
+                IncompletenessSpec.uniform(case14_model.l, float(beta)).phi
             )
             label = classify_uniform_ratio(float(beta))
             if label is LESS:
-                assert point.kl >= point.kl_opt - 1e-9
-                assert point.mi <= point.mi_opt + 1e-9
+                assert kl >= kl_opt - 1e-9
+                assert mi <= mi_opt + 1e-9
             elif label is MORE:
-                assert point.kl <= point.kl_opt + 1e-9
-                assert point.mi >= point.mi_opt - 1e-9
+                assert kl <= kl_opt + 1e-9
+                assert mi >= mi_opt - 1e-9
 
     def test_regime_orders_metrics_injected_delta(self, case14_model, case14_stats):
         # The ordering holds for any PSD perturbation injected directly,

@@ -15,7 +15,6 @@ from stealthdeg import (
     build_model,
     build_scenario,
     classify_delta,
-    evaluate,
     k_sweep,
     load_case,
     maximize_with_oracle,
@@ -334,7 +333,9 @@ def test_beta_sweep_matches_mpmath(snr_db, betas, case9_model):
 def test_library_paths_never_build_m_by_m(case30_model):
     model = case30_model
     stats = build_scenario(model, 0.5, 30.0)
-    evaluate(model, stats, IncompletenessSpec.uniform(model.l, 0.3))
+    ev = ObjectiveEvaluator(model, stats)
+    ev.metrics(IncompletenessSpec.uniform(model.l, 0.3).phi)
+    ev.baseline()
     beta_sweep(model, stats, [-0.5, 0.0, 0.5])
     alpha_montecarlo(model, stats, [0.5, 1.0], 4, 0)
     k_sweep(model, stats, [3, model.l], 4, 0)

@@ -18,14 +18,9 @@ from .degradation_opt import (
     vertex_profiles,
 )
 from .errors import (
-    CapExceededError,
     CaseSyntaxError,
-    DisconnectedGridError,
-    DomainError,
-    EmptyGridError,
     SingularityError,
     StealthdegError,
-    UnreachableAlphaError,
     ValidationError,
 )
 from .experiment_harness import (

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import CaseSyntaxError, EmptyGridError, ValidationError
+from .errors import CaseSyntaxError, ValidationError
 
 _BLOCKS_READ = ("bus", "branch")
 
@@ -75,7 +75,7 @@ class GridCase:
                         "service with zero reactance"
                     )
         if in_service == 0:
-            raise EmptyGridError("no in-service branch")
+            raise ValidationError("no in-service branch")
 
     def bus_positions(self):
         """Map external bus id -> dense 0-based column position."""

@@ -18,13 +18,13 @@ import numpy as np
 from . import attack_engine, degradation_opt, experiment_harness
 from .case_ingest import load_case
 from .degradation_opt import _finite
-from .errors import DomainError, SingularityError, StealthdegError, ValidationError
+from .errors import SingularityError, StealthdegError, ValidationError
 from .experiment_harness import POINT_CAP, fmt17
 from .grid_model import build_model, jacobian
 from .regime_analysis import classify_ratio, definiteness_conditions
 from .stochastics import build_scenario, toeplitz_cov
 
-_NUMERICAL_ERRORS = (SingularityError, DomainError, np.linalg.LinAlgError)
+_NUMERICAL_ERRORS = (SingularityError, np.linalg.LinAlgError)
 
 
 class _UsageError(Exception):
@@ -333,7 +333,7 @@ def main(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (StealthdegError, FileNotFoundError, OSError) as exc:
+    except (StealthdegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

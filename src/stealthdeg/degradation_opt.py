@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CapExceededError, SingularityError
+from .errors import SingularityError, ValidationError
 
 ENUMERATION_CAP = 20
 # Boxes swept in lockstep per block, and vertices scored per stacked
@@ -316,7 +316,7 @@ def vertex_profiles(spec):
     """
     free = [i for i in spec.support if spec.phi_min[i] != spec.phi_max[i]]
     if len(free) > ENUMERATION_CAP:
-        raise CapExceededError(
+        raise ValidationError(
             f"{len(free)} free coordinates exceed the enumeration cap {ENUMERATION_CAP}")
     base = np.zeros(spec.l)
     support = list(spec.support)

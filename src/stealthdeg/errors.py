@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per CLI exit code."""
 
 
 class StealthdegError(Exception):
@@ -6,7 +6,7 @@ class StealthdegError(Exception):
 
 
 class CaseSyntaxError(StealthdegError):
-    """Case-file text could not be parsed; message carries the line number."""
+    """Case-file text could not be parsed (exit 2); message carries the line number."""
 
     def __init__(self, message, line=None):
         if line is not None:
@@ -16,28 +16,11 @@ class CaseSyntaxError(StealthdegError):
 
 
 class ValidationError(StealthdegError):
-    """Structurally parseable input violates a model invariant."""
-
-
-class EmptyGridError(ValidationError):
-    """A case has no in-service branch."""
-
-
-class DisconnectedGridError(ValidationError):
-    """The in-service branch graph does not connect all buses."""
-
-
-class DomainError(StealthdegError):
-    """Scalar argument outside its mathematical domain."""
+    """Structurally parseable input violates a model invariant (exit 2)."""
 
 
 class SingularityError(StealthdegError):
-    """A factorization that should be positive definite failed."""
+    """A factorization that should be positive definite failed (exit 3).
 
-
-class CapExceededError(StealthdegError):
-    """Exhaustive vertex enumeration was requested beyond the enumeration cap."""
-
-
-class UnreachableAlphaError(StealthdegError):
-    """Requested incompleteness budget cannot be met inside the unit box."""
+    Also raised for a non-finite or nonpositive result.
+    """

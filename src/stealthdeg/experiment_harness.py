@@ -26,7 +26,7 @@ import numpy as np
 
 from .attack_engine import delta_from_state_cov, state_edge_cov
 from .degradation_opt import ObjectiveEvaluator, uniform_metrics
-from .errors import UnreachableAlphaError, ValidationError
+from .errors import ValidationError
 from .regime_analysis import classify_delta, classify_uniform_ratio, RegimeLabel
 
 # Largest number of beta-grid points, or of trials per batch, that one run
@@ -99,11 +99,11 @@ def _sample_bounds_from(rng, support, target_alpha, l):
     """Draw one bound box on ``support`` and deform it to the target alpha."""
     k = len(support)
     if k == 0:
-        raise UnreachableAlphaError("empty support")
+        raise ValidationError("empty support")
     if not target_alpha >= 0.0:
-        raise UnreachableAlphaError(f"alpha must be a number >= 0, got {target_alpha}")
+        raise ValidationError(f"alpha must be a number >= 0, got {target_alpha}")
     if target_alpha > 2.0 * np.sqrt(k) + 1e-12:
-        raise UnreachableAlphaError(
+        raise ValidationError(
             f"alpha {target_alpha} exceeds the box maximum {2.0 * np.sqrt(k):g}"
         )
     pairs = rng.uniform(-1.0, 1.0, size=(k, 2))

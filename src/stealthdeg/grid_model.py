@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .case_ingest import in_service_branches
-from .errors import DisconnectedGridError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def build_model(case):
     b = susceptance_diag(case)
     n_components = _connected_components(A)
     if n_components != 1:
-        raise DisconnectedGridError(
+        raise ValidationError(
             f"in-service branch graph has {n_components} components"
         )
     l, n = A.shape

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularityError, ValidationError
+from .errors import SingularityError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,12 @@ def noise_variance(power, m, snr_db):
     """sigma2 = power / (m 10^(snr_db / 10)) for a signal power
     tr(H sigma_xx H^T) spread over m measurements.
 
-    Raises :class:`DomainError` for a nonpositive power and
+    Raises :class:`SingularityError` for a nonpositive power and
     :class:`ValidationError` unless the SNR factor and sigma2 are finite,
     positive, normal floats.
     """
     if power <= 0.0:
-        raise DomainError(f"signal covariance has nonpositive trace {power}")
+        raise SingularityError(f"signal covariance has nonpositive trace {power}")
     try:
         factor = 10.0 ** (float(snr_db) / 10.0)
     except OverflowError:

@@ -29,7 +29,6 @@ import numpy as np
 
 from stealthdeg import (
     CaseSyntaxError,
-    DomainError,
     ObjectiveEvaluator,
     SingularityError,
     StealthdegError,
@@ -85,7 +84,7 @@ def snr_from_variance(cov, m, sigma2):
     noise level against an m x m signal covariance."""
     trace = float(np.trace(cov))
     if trace <= 0.0 or sigma2 <= 0.0:
-        raise DomainError("trace and sigma2 must be positive")
+        raise SingularityError("trace and sigma2 must be positive")
     return 10.0 * np.log10(trace / (m * sigma2))
 
 
@@ -138,7 +137,7 @@ def kl_divergence(precision, cov_attack):
 def mutual_information(cov_signal, cov_attack, sigma2):
     """Information the operator obtains from attacked measurements."""
     if sigma2 <= 0.0:
-        raise DomainError(f"sigma2 must be positive, got {sigma2}")
+        raise SingularityError(f"sigma2 must be positive, got {sigma2}")
     u_half = sym_sqrt(cov_signal)
     m = u_half.shape[0]
     noisy = cov_attack + sigma2 * np.eye(m)

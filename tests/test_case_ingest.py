@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from stealthdeg import (
     CaseSyntaxError,
-    EmptyGridError,
     ValidationError,
     load_case,
     parse_case,
@@ -228,7 +227,7 @@ def test_in_service_filter_preserves_order(ring_case):
 
 def test_all_out_of_service_rejected():
     text = RING_TEXT.replace("\t0\t0\t1\t-360", "\t0\t0\t0\t-360")
-    with pytest.raises((EmptyGridError, ValidationError)):
+    with pytest.raises(ValidationError):
         in_service_branches(parse_case(text))
 
 
@@ -253,7 +252,7 @@ def test_render_round_trip_with_outage(ring_case):
 
 
 def test_no_in_service_branch_is_empty_grid():
-    with pytest.raises(EmptyGridError, match="no in-service branch"):
+    with pytest.raises(ValidationError, match="no in-service branch"):
         GridCase(base_mva=100.0, buses=(1, 2),
                  branches=(BranchRecord(1, 2, 0.1, False),), reference_bus=1)
 

@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -399,18 +398,55 @@ def test_bad_rho_is_one_validation_line(argv, bounds_file, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_zero_signal_power_is_three(tmp_path, capsys):
+def _case_text(buses, branches):
+    """Case text with bus 1 the reference and (from, to, x, status) branches."""
+    bus_rows = "".join(f"{b} {3 if b == 1 else 1};\n" for b in buses)
+    branch_rows = "".join(f"{f} {t} 0 {x} 0 0 0 0 0 0 {s};\n" for f, t, x, s in branches)
+    return (f"mpc.baseMVA = 100;\nmpc.bus = [\n{bus_rows}];\n"
+            f"mpc.branch = [\n{branch_rows}];\n")
+
+
+_ONE_LINE_ERRORS = {
+    "out-of-service": (
+        ["classify", "--case", "{case}", "--rho", "0.5", "--beta", "0.5"],
+        _case_text([1, 2], [(1, 2, 0.1, 0)]), None,
+        2, "error: no in-service branch"),
+    "two-islands": (
+        ["classify", "--case", "{case}", "--rho", "0.5", "--beta", "0.5"],
+        _case_text([1, 2, 3, 4], [(1, 2, 0.1, 1), (3, 4, 0.1, 1)]), None,
+        2, "error: in-service branch graph has 2 components"),
+    "enumeration-cap": (
+        ["maximize", "--case", "case30", "--rho", "0.5", "--snr-db", "30",
+         "--bounds", "{csv}", "--oracle", "--out", "{out}"],
+        None, "branch_index,phi_min,phi_max\n" + "".join(f"{i},-1,1\n" for i in range(1, 22)),
+        2, "error: 21 free coordinates exceed the enumeration cap 20"),
+    "unreachable-alpha": (
+        ["montecarlo-alpha", *SCENARIO, "--alphas", "100", "--trials", "2", "--out", "{out}"],
+        None, None,
+        2, "error: alpha 100.0 exceeds the box maximum 6"),
     # Reactances of 1e300 give susceptances whose squares underflow, so the
     # signal power is exactly 0: a numerical error, not a validation one.
-    case = load_case("case9")
-    case = replace(case, branches=tuple(replace(br, reactance_x=1e300)
-                                        for br in case.branches))
-    path = tmp_path / "case.m"
-    path.write_text(render_case(case))
-    assert main(["evaluate", "--case", str(path), *SCENARIO[2:], "--spec",
-                 str(tmp_path / "missing.csv")]) == 3
-    assert capsys.readouterr().err == (
-        "numerical error: signal covariance has nonpositive trace 0.0\n")
+    "zero-signal-power": (
+        ["evaluate", "--case", "{case}", "--rho", "0.5", "--snr-db", "30", "--spec", "{csv}"],
+        _case_text([1, 2, 3], [(1, 2, 1e300, 1), (2, 3, 1e300, 1), (1, 3, 1e300, 1)]),
+        "branch_index,phi\n1,0.5\n",
+        3, "numerical error: signal covariance has nonpositive trace 0.0"),
+}
+
+
+@pytest.mark.parametrize("argv, case_text, csv_text, code, line",
+                         _ONE_LINE_ERRORS.values(), ids=_ONE_LINE_ERRORS.keys())
+def test_error_is_one_stderr_line(argv, case_text, csv_text, code, line, tmp_path, capsys):
+    paths = {"case": tmp_path / "case.m", "csv": tmp_path / "in.csv",
+             "out": tmp_path / "out.csv"}
+    for key, text in (("case", case_text), ("csv", csv_text)):
+        if text is not None:
+            paths[key].write_text(text)
+    assert main([a.format(**paths) for a in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line + "\n"
+    assert not paths["out"].exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from stealthdeg import (
-    CapExceededError,
     IncompletenessSpec,
     ObjectiveEvaluator,
+    ValidationError,
     exhaustive_maximize,
     greedy_maximize,
     maximize_with_oracle,
@@ -87,7 +87,7 @@ class TestVertexProfiles:
 
     def test_cap(self):
         spec = bounds_spec(25, tuple(range(25)), [-1.0] * 25, [1.0] * 25)
-        with pytest.raises(CapExceededError):
+        with pytest.raises(ValidationError):
             next(vertex_profiles(spec))
 
 
@@ -105,7 +105,7 @@ class TestGreedy:
         result = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         assert np.array_equal(result.phi_star, phi)
 
-    def test_vertex_membership_and_flags(self, case9_model, case9_stats):
+    def test_vertex_membership(self, case9_model, case9_stats):
         rng = np.random.default_rng(2)
         pairs = np.sort(rng.uniform(-1, 1, (case9_model.l, 2)), axis=1)
         spec = bounds_spec(

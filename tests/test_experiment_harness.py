@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from stealthdeg import (
     ObjectiveEvaluator,
-    UnreachableAlphaError,
     ValidationError,
     alpha_montecarlo,
     beta_sweep,
@@ -70,15 +69,15 @@ class TestSampleBounds:
         assert hi[0] == hi[2] == hi[4] == hi[5] == 0.0
 
     def test_unreachable_budget(self):
-        with pytest.raises(UnreachableAlphaError):
+        with pytest.raises(ValidationError):
             sample_bounds(0, 0, (0, 1), 2.0 * np.sqrt(2) + 0.1, 2)
-        with pytest.raises(UnreachableAlphaError):
+        with pytest.raises(ValidationError):
             sample_bounds(0, 0, (), 0.5, 2)
-        with pytest.raises(UnreachableAlphaError):
+        with pytest.raises(ValidationError):
             sample_bounds(0, 0, (0,), -0.5, 1)
 
     def test_nan_budget_rejected_at_entry(self):
-        with pytest.raises(UnreachableAlphaError, match="nan"):
+        with pytest.raises(ValidationError, match="nan"):
             sample_bounds(0, 0, (0, 1), float("nan"), 2)
 
     def test_pure_function_of_seed_and_trial(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stealthdeg import (
-    DisconnectedGridError,
+    ValidationError,
     build_model,
     check_connectivity_and_rank,
     incidence_matrix,
@@ -112,7 +112,7 @@ def test_connected_full_rank(fixture, n, request):
 
 def test_disconnected_islands_rejected():
     case = parse_case(ISLANDS)
-    with pytest.raises(DisconnectedGridError):
+    with pytest.raises(ValidationError):
         build_model(case)
     # Diagnostic path: assemble the matrices by hand and inspect the report.
     A = incidence_matrix(case)
@@ -126,7 +126,7 @@ def test_disconnected_islands_rejected():
 
 def test_three_islands_rank_matches_svd():
     case = parse_case(THREE_ISLANDS)
-    with pytest.raises(DisconnectedGridError):
+    with pytest.raises(ValidationError):
         build_model(case)
     A = incidence_matrix(case)
     b = susceptance_diag(case)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from stealthdeg import (
-    DomainError,
     IncompletenessSpec,
     ObjectiveEvaluator,
     SingularityError,
@@ -67,7 +66,7 @@ def test_noise_variance_values():
 
 
 def test_noise_variance_domain():
-    with pytest.raises(DomainError):
+    with pytest.raises(SingularityError):
         noise_variance(np.trace(np.zeros((2, 2))), 2, 10.0)
 
 

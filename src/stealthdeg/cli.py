@@ -76,14 +76,6 @@ def parse_int_list(text):
     return _parse_list(text, int, "integer")
 
 
-def _model_for(args):
-    return build_model(load_case(args.case))
-
-
-def _scenario_for(args, model):
-    return build_scenario(model, args.rho, args.snr_db)
-
-
 def _read_spec(path, l):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -109,7 +101,7 @@ def _write_matrix_csv(mat, path):
 
 
 def _cmd_dump_model(args):
-    model = _model_for(args)
+    model = build_model(load_case(args.case))
     _write_matrix_csv(model.A, f"{args.out_dir}/A.csv")
     _write_matrix_csv(model.b, f"{args.out_dir}/D.csv")
     _write_matrix_csv(jacobian(model.A, model.b), f"{args.out_dir}/H.csv")
@@ -119,7 +111,7 @@ def _cmd_dump_model(args):
 
 
 def _cmd_classify(args):
-    model = _model_for(args)
+    model = build_model(load_case(args.case))
     if (args.spec is None) == (args.beta is None):
         raise ValidationError("classify needs exactly one of --spec or --beta")
     if args.beta is not None:
@@ -147,8 +139,8 @@ def _cmd_classify(args):
 
 
 def _cmd_evaluate(args):
-    model = _model_for(args)
-    stats = _scenario_for(args, model)
+    model = build_model(load_case(args.case))
+    stats = build_scenario(model, args.rho, args.snr_db)
     spec = _read_spec(args.spec, model.l)
     ev = degradation_opt.ObjectiveEvaluator(model, stats)
     kl, mi = ev.metrics(spec.phi)
@@ -161,15 +153,15 @@ def _cmd_evaluate(args):
 
 
 def _cmd_sweep_beta(args):
-    model = _model_for(args)
-    stats = _scenario_for(args, model)
+    model = build_model(load_case(args.case))
+    stats = build_scenario(model, args.rho, args.snr_db)
     rows = experiment_harness.beta_sweep(model, stats, parse_range(args.beta))
     return _write_rows(experiment_harness.write_beta_csv, rows, args.out)
 
 
 def _cmd_montecarlo_alpha(args):
-    model = _model_for(args)
-    stats = _scenario_for(args, model)
+    model = build_model(load_case(args.case))
+    stats = build_scenario(model, args.rho, args.snr_db)
     records = experiment_harness.alpha_montecarlo(
         model, stats, parse_float_list(args.alphas), args.trials, args.seed
     )
@@ -177,8 +169,8 @@ def _cmd_montecarlo_alpha(args):
 
 
 def _cmd_sweep_k(args):
-    model = _model_for(args)
-    stats = _scenario_for(args, model)
+    model = build_model(load_case(args.case))
+    stats = build_scenario(model, args.rho, args.snr_db)
     records = experiment_harness.k_sweep(
         model, stats, parse_int_list(args.ks), args.trials, args.seed,
         target_alpha=args.alpha,
@@ -187,8 +179,8 @@ def _cmd_sweep_k(args):
 
 
 def _run_maximize(args):
-    model = _model_for(args)
-    stats = _scenario_for(args, model)
+    model = build_model(load_case(args.case))
+    stats = build_scenario(model, args.rho, args.snr_db)
     spec = _read_spec(args.bounds, model.l)
     ev = degradation_opt.ObjectiveEvaluator(model, stats)
     if args.oracle:
@@ -232,6 +224,8 @@ def _cmd_mtd_plan(args):
         print(f"warning: ratio -1 on branch(es) {branches}; "
               "admittance target is 0 there", file=sys.stderr)
     print(f"objective = {fmt17(result.objective)}")
+    if result.oracle_gap is not None:
+        print(f"oracle_gap = {fmt17(result.oracle_gap)}")
     print(f"wrote admittance plan to {args.out}")
     return 0
 

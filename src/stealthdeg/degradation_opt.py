@@ -156,8 +156,6 @@ class ObjectiveEvaluator:
         # Small integers throughout, so bitwise equal to J^T J.
         self._JtJ = A @ A.T + 2.0 * np.eye(l)
         self._eye = np.eye(n)
-        self._baseline = None
-        self._origin = None
 
     def _kl(self, c):
         """(kl, log|I + M|) for C, or for a stack of them (..., l, n), as arrays.
@@ -214,11 +212,9 @@ class ObjectiveEvaluator:
 
     def baseline(self):
         """(kl_opt, mi_opt): metrics of the complete-information attack,
-        phi = 0, from the closed form (cached)."""
-        if self._baseline is None:
-            kl, mi = uniform_metrics(self.stats, [0.0])
-            self._baseline = kl[0], mi[0]
-        return self._baseline
+        phi = 0, from the closed form."""
+        kl, mi = uniform_metrics(self.stats, [0.0])
+        return kl[0], mi[0]
 
     def greedy(self, lows, highs, *, refine=False):
         """Greedy vertex of every box (rows of ``lows``/``highs``, (T, l)).
@@ -235,35 +231,33 @@ class ObjectiveEvaluator:
         """
         lows = np.atleast_2d(np.asarray(lows, dtype=float))
         highs = np.atleast_2d(np.asarray(highs, dtype=float))
+        origin = self._origin_state()
         return np.concatenate([
-            self._sweep(lows[s:s + _SWEEP_BLOCK], highs[s:s + _SWEEP_BLOCK], refine)[0]
+            self._sweep(lows[s:s + _SWEEP_BLOCK], highs[s:s + _SWEEP_BLOCK], refine, origin)[0]
             for s in range(0, len(lows), _SWEEP_BLOCK)])
 
     def _origin_state(self):
-        """((I + M0)^-1, tr M0, log|I + M0|) at phi = 0 (cached), from
-        M0 = V diag(lam) V^T with V the eigenvectors of the folded Gram and
-        lam as in :func:`uniform_metrics`: F^T G F would cancel at high SNR.
+        """((I + M0)^-1, tr M0) at phi = 0, from M0 = V diag(lam) V^T with V
+        the eigenvectors of the folded Gram and lam as in
+        :func:`uniform_metrics`: F^T G F would cancel at high SNR.
         """
-        if self._origin is None:
-            mu, V = np.linalg.eigh(self.stats.gram)
-            mu = np.maximum(mu, 0.0) / self.stats.sigma2
-            lam = mu / (1.0 + mu)
-            self._origin = ((V / (1.0 + lam)) @ V.T, float(lam.sum()),
-                            float(np.log1p(lam).sum()))
-        return self._origin
+        mu, V = np.linalg.eigh(self.stats.gram)
+        mu = np.maximum(mu, 0.0) / self.stats.sigma2
+        lam = mu / (1.0 + mu)
+        return (V / (1.0 + lam)) @ V.T, float(lam.sum())
 
-    def _sweep(self, lows, highs, refine):
-        """Lockstep greedy over one block of boxes.
+    def _sweep(self, lows, highs, refine, origin):
+        """Lockstep greedy over one block of boxes, starting from
+        ``origin`` = :meth:`_origin_state`.
 
-        Returns (phi, tr M, log|I + M|) at the chosen vertices, the last two
+        Returns (phi, tr M, (I + M)^-1) at the chosen vertices, the last two
         as maintained by the rank-2 updates.
         """
         F, G = self._F, self.G
-        inv0, trace0, logdet0 = self._origin_state()
+        inv0, trace0 = origin
         t, l = lows.shape
         inv = np.repeat(inv0[None], t, axis=0)
         trace = np.full(t, trace0)
-        logdet = np.full(t, logdet0)
         phi = np.zeros((t, l))
         bounds = np.stack([lows, highs])                 # (2, t, l)
         g_diag = np.diagonal(G)
@@ -297,12 +291,11 @@ class ObjectiveEvaluator:
                 X = np.stack([e ** 2 * (g - d), x_ru, x_ru, -(e ** 2) * a], -1) / det[:, None]
                 inv -= (z @ X.reshape(t, 2, 2)) @ np.swapaxes(z, 1, 2)
                 trace += d_trace
-                logdet += np.log(det)
                 phi[:, i] = np.where(high, highs[:, i], lows[:, i])
                 changed |= e != 0.0
             if not changed.any():
                 break
-        return phi, trace, logdet
+        return phi, trace, inv
 
 
 def vertex_profiles(spec):

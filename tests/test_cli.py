@@ -338,6 +338,18 @@ def test_oracle_keeps_refine(command, tmp_path, capsys):
     assert printed[()][0] != printed[("--refine",)][0]
 
 
+def test_mtd_plan_prints_the_oracle_gap_of_maximize(bounds_file, tmp_path, capsys):
+    printed = {}
+    for argv in (["maximize", "--oracle"], ["mtd-plan", "--oracle"], ["mtd-plan"]):
+        assert main([*argv, *SCENARIO, "--bounds", bounds_file,
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        printed[tuple(argv)] = [line for line in capsys.readouterr().out.splitlines()
+                                if line.startswith("oracle_gap")]
+    assert len(printed[("maximize", "--oracle")]) == 1
+    assert printed[("mtd-plan", "--oracle")] == printed[("maximize", "--oracle")]
+    assert printed[("mtd-plan",)] == []
+
+
 @pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["greedy", "oracle"])
 @pytest.mark.parametrize("command", ["maximize", "mtd-plan"])
 def test_maximize_builds_one_evaluator(command, oracle, bounds_file, tmp_path,

@@ -327,3 +327,27 @@ def test_refined_gap_never_exceeds_greedy_gap(case9_model, case9_stats):
         assert refined.objective >= greedy.objective * (1.0 - 1e-11)
         assert refined.oracle_gap <= greedy.oracle_gap + 1e-11
         assert refined.objective <= exact.objective * (1.0 + 1e-12)
+
+
+def test_evaluator_state_is_fixed_at_construction(case9_model, case9_stats):
+    # Every field is set in __init__, so no call depends on an earlier one.
+    ev = ObjectiveEvaluator(case9_model, case9_stats)
+    before = dict(vars(ev))
+    snapshot = {k: v.tobytes() for k, v in before.items() if isinstance(v, np.ndarray)}
+    l, support = case9_model.l, tuple(range(case9_model.l))
+    lo, hi = sample_bounds(0, 0, support, 1.0, l)
+    spec = IncompletenessSpec.from_bounds(support, lo, hi)
+    stack = np.random.default_rng(5).uniform(-1.0, 1.0, (3, l))
+    ev.objective(stack[0])
+    ev.objective(stack)
+    ev.metrics(stack)
+    ev.baseline()
+    ev.greedy(lo, hi)
+    ev.greedy(lo, hi, refine=True)
+    greedy_maximize(ev, spec)
+    exhaustive_maximize(ev, spec)
+    maximize_with_oracle(ev, spec, refine=True)
+    after = vars(ev)
+    assert after.keys() == before.keys()
+    assert [k for k, v in before.items() if after[k] is not v] == []
+    assert {k: after[k].tobytes() for k in snapshot} == snapshot

@@ -110,17 +110,18 @@ def test_block_mates_do_not_change_a_vertex(case, refine, scenario, monkeypatch)
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_maintained_trace_and_logdet_match_recomputation(case, scenario):
+def test_maintained_trace_and_inverse_match_recomputation(case, scenario):
     model, stats = scenario[case]
     ev = ObjectiveEvaluator(model, stats)
     for refine in (False, True):
         lows, highs = bounds_of(random_specs(model.l, 32, seed=10))
-        phi, trace, logdet = ev._sweep(lows, highs, refine)
-        for row, tr, ld in zip(phi, trace, logdet):
+        phi, trace, inv = ev._sweep(lows, highs, refine, ev._origin_state())
+        for row, tr, got in zip(phi, trace, inv):
             c = (1.0 + row)[:, None] * ev._F
             m = c.T @ ev.G @ c
             assert tr == pytest.approx(np.trace(m), rel=1e-12)
-            assert ld == pytest.approx(np.linalg.slogdet(np.eye(model.n) + m)[1], rel=1e-12)
+            expected = np.linalg.inv(np.eye(model.n) + m)
+            assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("snr_db", [30.0, 70.0, 90.0])
@@ -130,7 +131,8 @@ def test_origin_state_matches_closed_form(case, snr_db, scenario):
     # phi = 0; forming F^T G F would cancel at high SNR.
     model = scenario[case][0]
     ev = ObjectiveEvaluator(model, build_scenario(model, 0.5, snr_db))
-    _, trace, logdet = ev._origin_state()
+    inv0, trace = ev._origin_state()
+    logdet = -np.linalg.slogdet(inv0)[1]
     at_zero = 2.0 * ev.baseline()[0]
     assert abs((trace - logdet) - at_zero) <= 1e-14 * at_zero
 

@@ -11,10 +11,8 @@ from .attack_engine import IncompletenessSpec, mtd_admittance
 from .case_ingest import BranchRecord, GridCase, load_case, parse_case
 from .degradation_opt import (
     ObjectiveEvaluator,
-    OptimizationResult,
     exhaustive_maximize,
-    greedy_maximize,
-    maximize_with_oracle,
+    oracle_gap,
     vertex_profiles,
 )
 from .errors import (

@@ -27,8 +27,8 @@ class IncompletenessSpec:
 
     All vectors have length l (the in-service branch count) and are zero off
     the support.  ``phi_min <= phi <= phi_max`` holds elementwise.  A ratio
-    of exactly -1 (admittance believed zero) is legal but reported through
-    :meth:`zeroed_indices` since the admittance mapping is undefined there.
+    of exactly -1 (admittance believed zero) is legal; :func:`mtd_admittance`
+    maps it to a zero admittance, since b' / (1 + phi) is undefined there.
     """
 
     support: tuple
@@ -63,14 +63,6 @@ class IncompletenessSpec:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "phi_min", lo)
         object.__setattr__(self, "phi_max", hi)
-
-    @property
-    def l(self):
-        return self.phi.shape[0]
-
-    def zeroed_indices(self):
-        """Support indices whose ratio is exactly -1."""
-        return tuple(i for i in self.support if self.phi[i] == -1.0)
 
     @classmethod
     def from_phi(cls, phi, support=None):
@@ -109,19 +101,15 @@ def delta_from_state_cov(W, phi):
     return pw + pw.T + np.outer(phi, phi) * W
 
 
-def mtd_admittance(b_prime, spec):
-    """Operator-side susceptances realizing the requested ratios.
+def mtd_admittance(b_prime, phi):
+    """Operator-side susceptances b = b' / (1 + phi) realizing the ratios.
 
-    b_i = b'_i / (1 + phi_i) on the support (undefined at phi_i = -1, which
-    maps to 0: the branches of ``spec.zeroed_indices()``); off support
-    unchanged.  Exact inverse of b' = (1 + phi) b whenever no ratio equals -1.
+    A ratio of exactly -1 maps to 0, where the division is undefined; a
+    ratio of 0 (every branch off the support) leaves b' unchanged.  Exact
+    inverse of b' = (1 + phi) b whenever no ratio equals -1.
     """
-    b_prime = np.asarray(b_prime, dtype=float)
-    out = b_prime.copy()
-    zeroed = spec.zeroed_indices()
-    for i in spec.support:
-        out[i] = 0.0 if i in zeroed else b_prime[i] / (1.0 + spec.phi[i])
-    return out
+    with np.errstate(divide="ignore"):
+        return np.where(phi == -1.0, 0.0, b_prime / (1.0 + phi))
 
 
 def read_spec_csv(text, l):

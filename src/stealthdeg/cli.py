@@ -155,7 +155,7 @@ def _cmd_evaluate(args):
 def _cmd_sweep_beta(args):
     model = build_model(load_case(args.case))
     stats = build_scenario(model, args.rho, args.snr_db)
-    rows = experiment_harness.beta_sweep(model, stats, parse_range(args.beta))
+    rows = experiment_harness.beta_sweep(stats, parse_range(args.beta))
     return _write_rows(experiment_harness.write_beta_csv, rows, args.out)
 
 
@@ -179,53 +179,54 @@ def _cmd_sweep_k(args):
 
 
 def _run_maximize(args):
+    """(ev, spec, greedy vertex, its objective, oracle gap or None)."""
     model = build_model(load_case(args.case))
     stats = build_scenario(model, args.rho, args.snr_db)
     spec = _read_spec(args.bounds, model.l)
     ev = degradation_opt.ObjectiveEvaluator(model, stats)
+    lo, hi = spec.phi_min, spec.phi_max
+    phi = ev.greedy(lo, hi, refine=args.refine)[0]
+    objective = ev.objective(phi)
+    gap = None
     if args.oracle:
-        result, _ = degradation_opt.maximize_with_oracle(ev, spec, refine=args.refine)
-    else:
-        result = degradation_opt.greedy_maximize(ev, spec, refine=args.refine)
-    return ev, spec, result
+        exact = degradation_opt.exhaustive_maximize(ev, lo, hi)[1]
+        gap = degradation_opt.oracle_gap(objective, exact)
+    return ev, spec, phi, objective, gap
 
 
 def _cmd_maximize(args):
-    ev, spec, result = _run_maximize(args)
+    ev, spec, phi_star, objective, gap = _run_maximize(args)
     with open(args.out, "w", newline="\n") as fh:
         fh.write("branch_index,phi_star,choice\n")
         for i in spec.support:
-            lo, hi, phi = spec.phi_min[i], spec.phi_max[i], result.phi_star[i]
+            lo, hi, phi = spec.phi_min[i], spec.phi_max[i], phi_star[i]
             choice = "PINNED" if lo == hi else "LOW" if phi == lo else "HIGH"
             fh.write(f"{i + 1},{fmt17(phi)},{choice}\n")
-    print(f"objective = {fmt17(result.objective)}")
+    print(f"objective = {fmt17(objective)}")
     print(f"objective_at_zero = {fmt17(2.0 * ev.baseline()[0])}")
-    if result.oracle_gap is not None:
-        print(f"oracle_gap = {fmt17(result.oracle_gap)}")
+    if gap is not None:
+        print(f"oracle_gap = {fmt17(gap)}")
     print(f"wrote vertex to {args.out}")
     return 0
 
 
 def _cmd_mtd_plan(args):
-    ev, spec, result = _run_maximize(args)
-    chosen = attack_engine.IncompletenessSpec.from_phi(
-        result.phi_star, support=spec.support
-    )
-    admittance = attack_engine.mtd_admittance(ev.model.b, chosen)
-    zeroed = chosen.zeroed_indices()
+    ev, spec, phi_star, objective, gap = _run_maximize(args)
+    admittance = attack_engine.mtd_admittance(ev.model.b, phi_star)
+    zeroed = [i for i in spec.support if phi_star[i] == -1.0]
     with open(args.out, "w", newline="\n") as fh:
         fh.write("branch_index,phi,admittance_target,zeroed\n")
         for i in spec.support:
-            fh.write(f"{i + 1},{fmt17(result.phi_star[i])},"
+            fh.write(f"{i + 1},{fmt17(phi_star[i])},"
                      f"{fmt17(admittance[i])},{int(i in zeroed)}\n")
     # Warned only once the plan is written, so a failed write stays one line.
     if zeroed:
         branches = ",".join(str(i + 1) for i in zeroed)
         print(f"warning: ratio -1 on branch(es) {branches}; "
               "admittance target is 0 there", file=sys.stderr)
-    print(f"objective = {fmt17(result.objective)}")
-    if result.oracle_gap is not None:
-        print(f"oracle_gap = {fmt17(result.oracle_gap)}")
+    print(f"objective = {fmt17(objective)}")
+    if gap is not None:
+        print(f"oracle_gap = {fmt17(gap)}")
     print(f"wrote admittance plan to {args.out}")
     return 0
 

@@ -10,18 +10,17 @@ information the operator still obtains about the states:
 
 :meth:`ObjectiveEvaluator.baseline` gives both at phi = 0 (complete
 information).  The objective f is convex in phi, so its maximum over the box
-phi_min <= phi <= phi_max sits at a vertex.  ``exhaustive_maximize(ev,
-spec)`` enumerates the up-to-2^k vertices lazily and scores them in stacks;
-``greedy_maximize(ev, spec)`` picks one bound per coordinate in a single
-ascending sweep, which has no global optimality guarantee but is measured
-against the exhaustive oracle in the test suite.  Both score with the
-:class:`ObjectiveEvaluator` ``ev`` they are given.  The sweep runs on
-:meth:`ObjectiveEvaluator.greedy`, which moves many boxes in lockstep and
-scores each bound by a rank-2 update instead of a fresh evaluation.
+low <= phi <= high sits at a vertex.  Boxes are bound arrays of length l.
+``exhaustive_maximize(ev, low, high)`` enumerates the up-to-2^k vertices
+lazily and scores them in stacks with the :class:`ObjectiveEvaluator` ``ev``
+it is given.  :meth:`ObjectiveEvaluator.greedy` picks one bound per
+coordinate in a single ascending sweep, which has no global optimality
+guarantee; it moves many boxes in lockstep and scores each bound by a rank-2
+update instead of a fresh evaluation.  :func:`oracle_gap` measures the
+greedy against the exhaustive optimum.
 """
 
 import itertools
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -43,16 +42,6 @@ _TIE_RTOL = 1e-12
 # omitted term is about 1e-18 of the sum at x = _SERIES_MAX.
 _SERIES_MAX = 0.1
 _SERIES = tuple((-1.0) ** k / k for k in range(18, 1, -1))
-
-
-@dataclass(frozen=True, eq=False)
-class OptimizationResult:
-    """Chosen vertex and its objective.  oracle_gap is
-    1 - objective/objective_exhaustive when the oracle ran, else None."""
-
-    phi_star: np.ndarray
-    objective: float
-    oracle_gap: float = None
 
 
 def _finite(values, context):
@@ -298,8 +287,8 @@ class ObjectiveEvaluator:
         return phi, trace, inv
 
 
-def vertex_profiles(spec):
-    """Lazily yield every vertex of the bound box, low/high per free index.
+def vertex_profiles(low, high):
+    """Lazily yield every vertex of the box ``low <= phi <= high``.
 
     Coordinates whose bounds coincide are pinned and contribute no factor
     of two.  Enumeration order is deterministic: the last free index varies
@@ -307,65 +296,41 @@ def vertex_profiles(spec):
     upper bound when bit (k - 1 - f) of j is set; vertices are built a chunk
     at a time from those bits and yielded row by row.
     """
-    free = [i for i in spec.support if spec.phi_min[i] != spec.phi_max[i]]
+    free = np.flatnonzero(low != high)
     if len(free) > ENUMERATION_CAP:
         raise ValidationError(
             f"{len(free)} free coordinates exceed the enumeration cap {ENUMERATION_CAP}")
-    base = np.zeros(spec.l)
-    support = list(spec.support)
-    base[support] = spec.phi_min[support]
     shifts = np.arange(len(free))[::-1]
-    low, high = spec.phi_min[free], spec.phi_max[free]
+    free_low, free_high = low[free], high[free]
     count = 1 << len(free)
     for start in range(0, count, _VERTEX_CHUNK):
         index = np.arange(start, min(start + _VERTEX_CHUNK, count))
-        chunk = np.repeat(base[None], len(index), axis=0)
-        chunk[:, free] = np.where((index[:, None] >> shifts) & 1, high, low)
+        chunk = np.repeat(low[None], len(index), axis=0)
+        chunk[:, free] = np.where((index[:, None] >> shifts) & 1, free_high, free_low)
         yield from chunk
 
 
-def greedy_maximize(ev, spec, *, refine=False):
-    """One ascending sweep choosing the better bound per support index.
-
-    ``ev`` scores ``spec``.  Undecided coordinates are held at zero while
-    sweeping; ties go to the lower bound.  The vertex depends on the sweep
-    order 0..l-1, as the paper's heuristic does.  ``refine=True`` enables an
-    extension beyond the single sweep: coordinates are re-swept (still
-    vertex-constrained) until no choice changes.  See
-    :meth:`ObjectiveEvaluator.greedy`.
-    """
-    phi = ev.greedy(spec.phi_min, spec.phi_max, refine=refine)[0]
-    return OptimizationResult(phi, ev.objective(phi))
-
-
-def exhaustive_maximize(ev, spec):
-    """Global optimum over the vertex set (small supports only).
+def exhaustive_maximize(ev, low, high):
+    """(phi_star, objective): the global optimum over the box's vertices
+    (small supports only).
 
     ``ev`` scores the vertices in stacks.  Winners are ordered by (objective,
     lexicographic vertex) so the result does not depend on evaluation order;
     the objective returned is the stacked score that rule compared.
     """
-    vertices = vertex_profiles(spec)
+    vertices = vertex_profiles(low, high)
     best_phi, best_key = None, None
-    row = (float, spec.l)
+    row = (float, len(low))
     while len(stack := np.fromiter(itertools.islice(vertices, _VERTEX_CHUNK), dtype=row)):
         values = ev.objective(stack)
         for j in np.flatnonzero(values == values.max()):
             key = (float(values[j]), tuple(stack[j]))
             if best_key is None or key > best_key:
                 best_phi, best_key = stack[j], key
-    return OptimizationResult(best_phi, best_key[0])
+    return best_phi, best_key[0]
 
 
-def maximize_with_oracle(ev, spec, *, refine=False):
-    """Greedy result annotated with its measured gap to the exhaustive optimum.
-
-    Both searches score with ``ev``; ``refine`` goes to :func:`greedy_maximize`.
-    """
-    greedy = greedy_maximize(ev, spec, refine=refine)
-    exact = exhaustive_maximize(ev, spec)
-    if exact.objective <= 0.0:
-        gap = 0.0
-    else:
-        gap = 1.0 - greedy.objective / exact.objective
-    return replace(greedy, oracle_gap=gap), exact
+def oracle_gap(objective, exact):
+    """Relative shortfall 1 - objective / exact of a vertex's objective
+    against the exhaustive optimum ``exact``; 0 when the optimum is 0."""
+    return 0.0 if exact <= 0.0 else 1.0 - objective / exact

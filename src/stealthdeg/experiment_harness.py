@@ -75,7 +75,7 @@ class TrialRecord:
     regime: RegimeLabel
 
 
-def beta_sweep(model, stats, beta_grid):
+def beta_sweep(stats, beta_grid):
     """Metrics of the uniform-ratio family phi = beta * ones over a grid.
 
     Each grid point costs O(n) through the closed form of

@@ -20,8 +20,9 @@ from stealthdeg import (
     classify_delta,
     classify_uniform_ratio,
     definiteness_conditions,
+    exhaustive_maximize,
     load_case,
-    maximize_with_oracle,
+    oracle_gap,
     sample_bounds,
 )
 from stealthdeg.attack_engine import state_edge_cov
@@ -33,7 +34,6 @@ from stealthdeg.experiment_harness import (
     write_alpha_csv,
     write_beta_csv,
     k_sweep,
-    write_k_csv,
 )
 from stealthdeg.regime_analysis import RegimeLabel
 
@@ -88,9 +88,9 @@ def _scaled_min_eig(mat):
 
 
 @pytest.fixture(scope="module")
-def sweep_table(case30_model, case30_stats):
+def sweep_table(case30_stats):
     start = time.time()
-    rows = beta_sweep(case30_model, case30_stats, parse_range("-3:1:0.02"))
+    rows = beta_sweep(case30_stats, parse_range("-3:1:0.02"))
     return rows, time.time() - start
 
 
@@ -108,13 +108,15 @@ def _run_oracle_study(model, stats):
     for draw in range(50):
         lo, hi = sample_bounds(0, draw, support, 1.0, model.l)
         spec = IncompletenessSpec.from_bounds(support, lo, hi)
-        greedy, exact = maximize_with_oracle(ev, spec)
-        rows.append((draw, spec, greedy, exact))
+        phi = ev.greedy(lo, hi)[0]
+        objective = ev.objective(phi)
+        exact = exhaustive_maximize(ev, lo, hi)[1]
+        rows.append((draw, spec, phi, objective, exact, oracle_gap(objective, exact)))
     buf = io.StringIO()
     buf.write("draw,greedy_objective,exhaustive_objective,oracle_gap,digest\n")
-    for draw, spec, greedy, exact in rows:
-        buf.write(f"{draw},{fmt17(greedy.objective)},{fmt17(exact.objective)},"
-                  f"{fmt17(greedy.oracle_gap)},{vertex_digest(greedy.phi_star)}\n")
+    for draw, spec, phi, objective, exact, gap in rows:
+        buf.write(f"{draw},{fmt17(objective)},{fmt17(exact)},"
+                  f"{fmt17(gap)},{vertex_digest(phi)}\n")
     return rows, buf.getvalue()
 
 
@@ -274,11 +276,11 @@ def test_criterion_07_greedy_oracle_gap(case9_model, oracle_run):
         assert elapsed < 300.0
         assert len(rows) == 50
         worst = 0.0
-        for draw, spec, greedy, exact in rows:
+        for draw, spec, phi, objective, exact, gap in rows:
             for i in spec.support:
-                assert greedy.phi_star[i] in (spec.phi_min[i], spec.phi_max[i])
-            assert greedy.objective <= exact.objective + 1e-12
-            worst = max(worst, greedy.oracle_gap)
+                assert phi[i] in (spec.phi_min[i], spec.phi_max[i])
+            assert objective <= exact + 1e-12
+            worst = max(worst, gap)
         print(f"[acceptance] criterion  7 measured worst oracle gap: {worst:.6f} "
               f"(frozen bound {ORACLE_GAP_BOUND})")
         assert worst <= ORACLE_GAP_BOUND
@@ -345,7 +347,7 @@ def test_criterion_11_determinism(sweep_table, oracle_run, alpha_trend_run):
         write_beta_csv(sweep_table[0], first)
         second = io.StringIO()
         write_beta_csv(
-            beta_sweep(model30, stats30, parse_range("-3:1:0.02")), second
+            beta_sweep(stats30, parse_range("-3:1:0.02")), second
         )
         assert first.getvalue().encode() == second.getvalue().encode()
 

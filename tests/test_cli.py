@@ -11,7 +11,9 @@ from stealthdeg import (
     ObjectiveEvaluator,
     SingularityError,
     classify_delta,
+    exhaustive_maximize,
     load_case,
+    oracle_gap,
     toeplitz_cov,
 )
 from stealthdeg.case_ingest import bundled_case_text, render_case
@@ -320,6 +322,20 @@ def test_oracle_gap_is_zero_when_the_optimum_is_zero(tmp_path, capsys):
     assert main(["maximize", *SCENARIO, "--bounds", str(bounds), "--oracle",
                  "--out", str(tmp_path / "sol.csv")]) == 0
     assert "oracle_gap = 0\n" in capsys.readouterr().out
+
+
+def test_oracle_gap_is_the_library_gap_bitwise(case9_model, case9_stats, tmp_path, capsys):
+    # Draw 162 of seed 0 at alpha = 1: the largest gap of draws 0-199.
+    lo, hi = sample_bounds(0, 162, tuple(range(9)), 1.0, 9)
+    bounds = tmp_path / "bounds.csv"
+    _bounds_csv(bounds, lo, hi)
+    assert main(["maximize", *SCENARIO, "--bounds", str(bounds), "--oracle",
+                 "--out", str(tmp_path / "sol.csv")]) == 0
+    ev = ObjectiveEvaluator(case9_model, case9_stats)
+    phi = ev.greedy(lo, hi)[0]
+    gap = oracle_gap(ev.objective(phi), exhaustive_maximize(ev, lo, hi)[1])
+    assert round(gap, 5) == 0.50314
+    assert f"oracle_gap = {fmt17(gap)}" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("command", ["maximize", "mtd-plan"])

@@ -8,8 +8,7 @@ from stealthdeg import (
     ObjectiveEvaluator,
     ValidationError,
     exhaustive_maximize,
-    greedy_maximize,
-    maximize_with_oracle,
+    oracle_gap,
     vertex_profiles,
 )
 from stealthdeg.experiment_harness import sample_bounds
@@ -67,7 +66,7 @@ class TestObjective:
 class TestVertexProfiles:
     def test_two_free_coordinates(self):
         spec = bounds_spec(3, (0, 2), [-1.0, -1.0], [1.0, 1.0])
-        vertices = list(vertex_profiles(spec))
+        vertices = list(vertex_profiles(spec.phi_min, spec.phi_max))
         assert len(vertices) == 4
         assert {tuple(v) for v in vertices} == {
             (-1.0, 0.0, -1.0), (-1.0, 0.0, 1.0), (1.0, 0.0, -1.0), (1.0, 0.0, 1.0)
@@ -75,7 +74,7 @@ class TestVertexProfiles:
 
     def test_pinned_coordinate_collapses(self):
         spec = bounds_spec(3, (0, 1, 2), [-1.0, 0.5, -1.0], [1.0, 0.5, 1.0])
-        vertices = list(vertex_profiles(spec))
+        vertices = list(vertex_profiles(spec.phi_min, spec.phi_max))
         assert len(vertices) == 4
         assert all(v[1] == 0.5 for v in vertices)
 
@@ -83,27 +82,28 @@ class TestVertexProfiles:
         spec = bounds_spec(
             case9_model.l, tuple(range(9)), [-1.0] * 9, [1.0] * 9
         )
-        assert sum(1 for _ in vertex_profiles(spec)) == 512
+        assert sum(1 for _ in vertex_profiles(spec.phi_min, spec.phi_max)) == 512
 
     def test_cap(self):
         spec = bounds_spec(25, tuple(range(25)), [-1.0] * 25, [1.0] * 25)
         with pytest.raises(ValidationError):
-            next(vertex_profiles(spec))
+            next(vertex_profiles(spec.phi_min, spec.phi_max))
 
 
 class TestGreedy:
     def test_single_coordinate_matches_exhaustive(self, case9_model, case9_stats):
         spec = bounds_spec(case9_model.l, (3,), [-0.5], [0.5])
-        greedy = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        assert np.array_equal(greedy.phi_star, exact.phi_star)
-        assert greedy.objective == exact.objective
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        phi = ev.greedy(spec.phi_min, spec.phi_max)[0]
+        phi_star, objective = exhaustive_maximize(ev, spec.phi_min, spec.phi_max)
+        assert np.array_equal(phi, phi_star)
+        assert ev.objective(phi) == objective
 
     def test_all_pinned_short_circuits(self, case9_model, case9_stats):
         phi = np.linspace(-0.4, 0.4, case9_model.l)
         spec = IncompletenessSpec.from_phi(phi)
-        result = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        assert np.array_equal(result.phi_star, phi)
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        assert np.array_equal(ev.greedy(spec.phi_min, spec.phi_max)[0], phi)
 
     def test_vertex_membership(self, case9_model, case9_stats):
         rng = np.random.default_rng(2)
@@ -111,59 +111,63 @@ class TestGreedy:
         spec = bounds_spec(
             case9_model.l, tuple(range(case9_model.l)), pairs[:, 0], pairs[:, 1]
         )
-        result = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        phi = ev.greedy(spec.phi_min, spec.phi_max)[0]
         for i in spec.support:
-            assert result.phi_star[i] in (spec.phi_min[i], spec.phi_max[i])
+            assert phi[i] in (spec.phi_min[i], spec.phi_max[i])
 
     def test_deterministic(self, case9_model, case9_stats):
         spec = bounds_spec(
             case9_model.l, tuple(range(9)), [-0.8] * 9, [0.6] * 9
         )
-        a = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        b = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        assert np.array_equal(a.phi_star, b.phi_star)
-        assert a.objective == b.objective
+        a, b = (ObjectiveEvaluator(case9_model, case9_stats) for _ in range(2))
+        phi_a = a.greedy(spec.phi_min, spec.phi_max)[0]
+        phi_b = b.greedy(spec.phi_min, spec.phi_max)[0]
+        assert np.array_equal(phi_a, phi_b)
+        assert a.objective(phi_a) == b.objective(phi_b)
 
     def test_objective_matches_fresh_evaluation(self, case9_model, case9_stats):
         spec = bounds_spec(case9_model.l, tuple(range(9)), [-1.0] * 9, [1.0] * 9)
-        result = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        fresh = detectability_objective(case9_model, case9_stats, result.phi_star)
-        assert result.objective == pytest.approx(fresh, rel=1e-10)
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        phi = ev.greedy(spec.phi_min, spec.phi_max)[0]
+        fresh = detectability_objective(case9_model, case9_stats, phi)
+        assert ev.objective(phi) == pytest.approx(fresh, rel=1e-10)
 
     def test_refinement_never_hurts(self, case9_model, case9_stats):
         rng = np.random.default_rng(3)
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
         for _ in range(5):
             pairs = np.sort(rng.uniform(-1, 1, (case9_model.l, 2)), axis=1)
             spec = bounds_spec(
                 case9_model.l, tuple(range(case9_model.l)), pairs[:, 0], pairs[:, 1]
             )
-            plain = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-            refined = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec,
-                                      refine=True)
-            assert refined.objective >= plain.objective - 1e-12
+            plain = ev.greedy(spec.phi_min, spec.phi_max)[0]
+            refined = ev.greedy(spec.phi_min, spec.phi_max, refine=True)[0]
+            assert ev.objective(refined) >= ev.objective(plain) - 1e-12
             for i in spec.support:
-                assert refined.phi_star[i] in (spec.phi_min[i], spec.phi_max[i])
+                assert refined[i] in (spec.phi_min[i], spec.phi_max[i])
 
 
 class TestExhaustive:
     def test_two_coordinate_instance_by_hand(self, case9_model, case9_stats):
         spec = bounds_spec(case9_model.l, (1, 6), [-0.9, -0.3], [0.4, 0.8])
-        exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
         ev = ObjectiveEvaluator(case9_model, case9_stats)
+        exact = exhaustive_maximize(ev, spec.phi_min, spec.phi_max)[1]
         best = -np.inf
         for a in (-0.9, 0.4):
             for b in (-0.3, 0.8):
                 phi = np.zeros(case9_model.l)
                 phi[1], phi[6] = a, b
                 best = max(best, ev.objective(phi))
-        assert exact.objective == pytest.approx(best, rel=1e-12)
+        assert exact == pytest.approx(best, rel=1e-12)
 
     def test_pinned_uniform_family(self, case9_model, case9_stats):
         beta = -0.7
         phi = np.full(case9_model.l, beta)
         spec = IncompletenessSpec.from_phi(phi)
-        exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        assert exact.objective == pytest.approx(
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        exact = exhaustive_maximize(ev, spec.phi_min, spec.phi_max)[1]
+        assert exact == pytest.approx(
             detectability_objective(case9_model, case9_stats, phi), rel=1e-12
         )
 
@@ -173,10 +177,12 @@ class TestExhaustive:
         spec = bounds_spec(
             case9_model.l, tuple(range(case9_model.l)), pairs[:, 0], pairs[:, 1]
         )
-        greedy, exact = maximize_with_oracle(ObjectiveEvaluator(case9_model, case9_stats), spec)
-        assert greedy.objective <= exact.objective + 1e-12
-        assert greedy.oracle_gap == pytest.approx(
-            1.0 - greedy.objective / exact.objective, abs=1e-15
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
+        objective = ev.objective(ev.greedy(spec.phi_min, spec.phi_max)[0])
+        exact = exhaustive_maximize(ev, spec.phi_min, spec.phi_max)[1]
+        assert objective <= exact + 1e-12
+        assert oracle_gap(objective, exact) == pytest.approx(
+            1.0 - objective / exact, abs=1e-15
         )
 
 
@@ -286,7 +292,7 @@ def test_stacked_metrics_match_single_vectors(case, request):
 def product_vertices(spec):
     """Reference enumeration: one itertools.product choice per vertex."""
     free = [i for i in spec.support if spec.phi_min[i] != spec.phi_max[i]]
-    base = np.zeros(spec.l)
+    base = np.zeros(len(spec.phi))
     for i in spec.support:
         base[i] = spec.phi_min[i]
     for choice in itertools.product((0, 1), repeat=len(free)):
@@ -307,7 +313,7 @@ def test_vertex_profiles_match_product_order(k):
     pairs[0] = (0.0, 0.0)
     pairs[-1, 1] = pairs[-1, 0]
     spec = bounds_spec(l, support, pairs[:, 0], pairs[:, 1])
-    got = np.array(list(vertex_profiles(spec)))
+    got = np.array(list(vertex_profiles(spec.phi_min, spec.phi_max)))
     expected = np.array(list(product_vertices(spec)))
     assert got.shape == (2 ** k, l)
     assert np.array_equal(got, expected)
@@ -321,12 +327,12 @@ def test_refined_gap_never_exceeds_greedy_gap(case9_model, case9_stats):
     support = tuple(range(case9_model.l))
     for trial in range(50):
         lo, hi = sample_bounds(0, trial, support, 1.0, case9_model.l)
-        spec = IncompletenessSpec.from_bounds(support, lo, hi)
-        greedy, exact = maximize_with_oracle(ev, spec)
-        refined, _ = maximize_with_oracle(ev, spec, refine=True)
-        assert refined.objective >= greedy.objective * (1.0 - 1e-11)
-        assert refined.oracle_gap <= greedy.oracle_gap + 1e-11
-        assert refined.objective <= exact.objective * (1.0 + 1e-12)
+        greedy = ev.objective(ev.greedy(lo, hi)[0])
+        refined = ev.objective(ev.greedy(lo, hi, refine=True)[0])
+        exact = exhaustive_maximize(ev, lo, hi)[1]
+        assert refined >= greedy * (1.0 - 1e-11)
+        assert oracle_gap(refined, exact) <= oracle_gap(greedy, exact) + 1e-11
+        assert refined <= exact * (1.0 + 1e-12)
 
 
 def test_evaluator_state_is_fixed_at_construction(case9_model, case9_stats):
@@ -336,7 +342,6 @@ def test_evaluator_state_is_fixed_at_construction(case9_model, case9_stats):
     snapshot = {k: v.tobytes() for k, v in before.items() if isinstance(v, np.ndarray)}
     l, support = case9_model.l, tuple(range(case9_model.l))
     lo, hi = sample_bounds(0, 0, support, 1.0, l)
-    spec = IncompletenessSpec.from_bounds(support, lo, hi)
     stack = np.random.default_rng(5).uniform(-1.0, 1.0, (3, l))
     ev.objective(stack[0])
     ev.objective(stack)
@@ -344,9 +349,7 @@ def test_evaluator_state_is_fixed_at_construction(case9_model, case9_stats):
     ev.baseline()
     ev.greedy(lo, hi)
     ev.greedy(lo, hi, refine=True)
-    greedy_maximize(ev, spec)
-    exhaustive_maximize(ev, spec)
-    maximize_with_oracle(ev, spec, refine=True)
+    exhaustive_maximize(ev, lo, hi)
     after = vars(ev)
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []

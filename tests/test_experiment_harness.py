@@ -99,13 +99,13 @@ class TestBetaSweep:
         from stealthdeg import build_scenario
 
         stats = build_scenario(ring_model, 0.5, 10.0)
-        rows = beta_sweep(ring_model, stats, [-1.0])
+        rows = beta_sweep(stats, [-1.0])
         assert rows[0].kl <= 1e-12
         assert rows[0].regime is RegimeLabel.MORE_STEALTHY_LESS_DESTRUCTIVE
 
     def test_boundary_rows_match_optimum(self, case9_model, case9_stats):
         kl_opt, mi_opt = ObjectiveEvaluator(case9_model, case9_stats).baseline()
-        rows = beta_sweep(case9_model, case9_stats, [0.0, -2.0])
+        rows = beta_sweep(case9_stats, [0.0, -2.0])
         for row in rows:
             assert row.kl == pytest.approx(kl_opt, rel=1e-9, abs=1e-12)
             assert row.mi == pytest.approx(mi_opt, rel=1e-9)
@@ -113,7 +113,7 @@ class TestBetaSweep:
 
     def test_shape_properties_small_grid(self, case9_model, case9_stats):
         grid = [(-150 + i) / 50 for i in range(201)]  # [-3, 1] step 0.02
-        rows = beta_sweep(case9_model, case9_stats, grid)
+        rows = beta_sweep(case9_stats, grid)
         kl = np.array([r.kl for r in rows])
         mi = np.array([r.mi for r in rows])
         kl_opt, mi_opt = ObjectiveEvaluator(case9_model, case9_stats).baseline()
@@ -126,9 +126,9 @@ class TestBetaSweep:
         assert kl[150] == pytest.approx(kl_opt, rel=1e-9)
         assert mi[150] == pytest.approx(mi_opt, rel=1e-9)
 
-    def test_tradeoff_monotone_on_upper_branch(self, case9_model, case9_stats):
+    def test_tradeoff_monotone_on_upper_branch(self, case9_stats):
         grid = [(-50 + i) / 50 for i in range(101)]  # [-1, 1] step 0.02
-        rows = beta_sweep(case9_model, case9_stats, grid)
+        rows = beta_sweep(case9_stats, grid)
         for earlier, later in zip(rows, rows[1:]):
             assert later.kl >= earlier.kl - 1e-9
             assert later.mi <= earlier.mi + 1e-9
@@ -158,25 +158,25 @@ class TestBetaSweepClosedForm:
         stats = build_scenario(model, 0.5, 30.0)
         ev = ObjectiveEvaluator(model, stats)
         betas = [-3.0, -2.2, -1.5, -1.0, -0.6, 0.0, 0.4, 1.0]
-        for row in beta_sweep(model, stats, betas):
+        for row in beta_sweep(stats, betas):
             kl, mi = ev.metrics(np.full(model.l, row.beta))
             assert row.kl == pytest.approx(kl, rel=1e-10)
             assert row.mi == pytest.approx(mi, rel=1e-10)
 
-    def test_builds_no_evaluator(self, case9_model, case9_stats, monkeypatch):
+    def test_builds_no_evaluator(self, case9_stats, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the uniform sweep must not use the n x n core")
 
         monkeypatch.setattr(ObjectiveEvaluator, "__init__", refuse)
         monkeypatch.setattr(ObjectiveEvaluator, "metrics", refuse)
-        rows = beta_sweep(case9_model, case9_stats, [-2.5, -1.0, 0.0, 0.4])
+        rows = beta_sweep(case9_stats, [-2.5, -1.0, 0.0, 0.4])
         assert [r.beta for r in rows] == [-2.5, -1.0, 0.0, 0.4]
         assert all(np.isfinite([r.kl, r.mi]).all() for r in rows)
 
-    def test_chunked_grid_matches_single_points(self, case14_model, case14_stats):
+    def test_chunked_grid_matches_single_points(self, case14_stats):
         grid = np.linspace(-3.0, 1.0, _BETA_CHUNK + 3)
-        rows = beta_sweep(case14_model, case14_stats, grid)
-        assert rows == [beta_sweep(case14_model, case14_stats, [b])[0] for b in grid]
+        rows = beta_sweep(case14_stats, grid)
+        assert rows == [beta_sweep(case14_stats, [b])[0] for b in grid]
 
 
 # Deterministic and small, so tier-1 stays reproducible and fast.
@@ -194,7 +194,7 @@ class TestBetaSweepProperties:
     @given(beta=st.floats(-3.0, 1.0))
     def test_regime_orders_metrics(self, beta, case9_model, case9_stats):
         kl_opt, mi_opt = ObjectiveEvaluator(case9_model, case9_stats).baseline()
-        row, = beta_sweep(case9_model, case9_stats, [beta])
+        row, = beta_sweep(case9_stats, [beta])
         if row.regime is RegimeLabel.LESS_STEALTHY_MORE_DESTRUCTIVE:
             assert row.kl >= kl_opt * (1.0 - 1e-12)
             assert row.mi <= mi_opt * (1.0 + 1e-12)
@@ -204,8 +204,8 @@ class TestBetaSweepProperties:
 
     @_PROPERTIES
     @given(beta=st.floats(-3.0, 1.0))
-    def test_kl_symmetric_about_full_cancellation(self, beta, case9_model, case9_stats):
-        row, mirror = beta_sweep(case9_model, case9_stats, [beta, -2.0 - beta])
+    def test_kl_symmetric_about_full_cancellation(self, beta, case9_stats):
+        row, mirror = beta_sweep(case9_stats, [beta, -2.0 - beta])
         assert abs(row.kl - mirror.kl) <= 1e-12 * max(1.0, row.kl)
 
 
@@ -232,20 +232,18 @@ class TestTrials:
         assert all(r.k == case9_model.l for r in records)
 
     def test_k_one_oracle_free(self, case9_model, case9_stats):
-        from stealthdeg import exhaustive_maximize, greedy_maximize
-        from stealthdeg.attack_engine import IncompletenessSpec
+        from stealthdeg import exhaustive_maximize
         from stealthdeg.experiment_harness import _sample_bounds_from
 
         # With one free coordinate the greedy cannot lose to the oracle.
+        ev = ObjectiveEvaluator(case9_model, case9_stats)
         for trial in range(50):
             rng = trial_rng(0, trial)
             support = tuple(int(i) for i in np.sort(
                 rng.choice(case9_model.l, size=1, replace=False)))
             lo, hi = _sample_bounds_from(rng, support, 1.0, case9_model.l)
-            spec = IncompletenessSpec.from_bounds(support, lo, hi)
-            greedy = greedy_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-            exact = exhaustive_maximize(ObjectiveEvaluator(case9_model, case9_stats), spec)
-            assert greedy.objective == exact.objective
+            greedy = ev.objective(ev.greedy(lo, hi)[0])
+            assert greedy == exhaustive_maximize(ev, lo, hi)[1]
 
     def test_full_support_matches_alpha_montecarlo(self, case9_model, case9_stats):
         # k = l skips the subset draw, so records coincide with the
@@ -305,8 +303,8 @@ class TestTrials:
 
 
 class TestCsvWriters:
-    def test_beta_csv(self, case9_model, case9_stats):
-        rows = beta_sweep(case9_model, case9_stats, [0.0, 0.5])
+    def test_beta_csv(self, case9_stats):
+        rows = beta_sweep(case9_stats, [0.0, 0.5])
         buf = io.StringIO()
         write_beta_csv(rows, buf)
         lines = buf.getvalue().splitlines()

@@ -1,16 +1,21 @@
-"""Every public function of the package is reached by a command.
+"""Every public function of the package is reached by a command, and every
+imported name is read.
 
 The eight subcommands run in process on case9 under ``sys.setprofile``,
 which records the code object of every Python call.  A public function or
 method (name not starting with ``_``) that no command reaches belongs in
 ``tests/oracles.py`` if a test needs it, and nowhere if nothing does.  The
-only exceptions are read by the benchmark, outside the package.
+only exceptions are read by the benchmark, outside the package.  Likewise a
+name that a module imports at top level and never reads is dead; the
+package's ``__init__.py`` is exempt, since its imports are its exports.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
 import sys
+from pathlib import Path
 
 import stealthdeg
 from stealthdeg import cli
@@ -84,3 +89,26 @@ def test_every_public_function_is_reached(tmp_path, capsys):
     assert codes == [0] * 8
     unreached = {label for code, label in public.items() if code not in reached}
     assert unreached == READ_BY_PERFBENCH
+
+
+def _unused_imports(path):
+    """["file:line name"] of each name a top-level import binds and no
+    ``ast.Name`` in the module reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.parent.name}/{path.name}:{alias.lineno} {name}")
+    return unused
+
+
+def test_every_imported_name_is_read():
+    tests = Path(__file__).resolve().parent
+    package = Path(stealthdeg.__file__).resolve().parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(tests.glob("*.py"))
+    assert [entry for path in paths for entry in _unused_imports(path)] == []

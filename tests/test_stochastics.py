@@ -15,8 +15,8 @@ from stealthdeg import (
     build_scenario,
     classify_delta,
     k_sweep,
+    exhaustive_maximize,
     load_case,
-    maximize_with_oracle,
     noise_variance,
     sample_bounds,
     toeplitz_cov,
@@ -323,7 +323,7 @@ def test_beta_sweep_matches_mpmath(snr_db, betas, case9_model):
     # The closed form reads the signal spectrum, so the high-SNR
     # cancellation of M = F^T G F (1e-10 at 70 dB) does not reach it.
     stats = build_scenario(case9_model, 0.5, snr_db)
-    for row, (kl, mi) in zip(beta_sweep(case9_model, stats, betas),
+    for row, (kl, mi) in zip(beta_sweep(stats, betas),
                              _mp_uniform_metrics(case9_model, stats, betas)):
         assert abs(row.kl - kl) <= 1e-14 * kl
         assert abs(row.mi - mi) <= 1e-14 * mi
@@ -335,14 +335,12 @@ def test_library_paths_never_build_m_by_m(case30_model):
     ev = ObjectiveEvaluator(model, stats)
     ev.metrics(IncompletenessSpec.uniform(model.l, 0.3).phi)
     ev.baseline()
-    beta_sweep(model, stats, [-0.5, 0.0, 0.5])
+    beta_sweep(stats, [-0.5, 0.0, 0.5])
     alpha_montecarlo(model, stats, [0.5, 1.0], 4, 0)
     k_sweep(model, stats, [3, model.l], 4, 0)
     support = tuple(range(6))
     lo, hi = sample_bounds(0, 0, support, 1.0, model.l)
-    greedy, exact = maximize_with_oracle(
-        ObjectiveEvaluator(model, stats), IncompletenessSpec.from_bounds(support, lo, hi))
-    for phi in (greedy.phi_star, exact.phi_star):
+    for phi in (ev.greedy(lo, hi)[0], exhaustive_maximize(ev, lo, hi)[0]):
         classify_delta(delta_matrix(model, stats.sigma_xx, IncompletenessSpec.from_phi(phi)))
     assert not {"cov_signal", "sigma_yy", "sigma_yy_inv"} & set(vars(stats))
 
@@ -392,7 +390,7 @@ def test_library_paths_need_neither_J_nor_H(case30_model, no_jacobian):
     bare = build_model(load_case("case30"))
     stats, full_stats = build_scenario(bare, 0.5, 30.0), build_scenario(full, 0.5, 30.0)
     betas = [-2.5, -1.0, 0.0, 0.4]
-    assert beta_sweep(bare, stats, betas) == beta_sweep(full, full_stats, betas)
+    assert beta_sweep(stats, betas) == beta_sweep(full_stats, betas)
     ev, full_ev = ObjectiveEvaluator(bare, stats), ObjectiveEvaluator(full, full_stats)
     support = tuple(range(full.l))
     boxes = [sample_bounds(0, trial, support, 1.0, full.l) for trial in range(3)]
@@ -411,6 +409,6 @@ def test_sweep_path_runs_no_qr(case30_model, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "qr", refuse)
     stats = build_scenario(case30_model, 0.5, 30.0)
-    rows = beta_sweep(case30_model, stats, [-2.5, -1.0, 0.0, 0.4])
+    rows = beta_sweep(stats, [-2.5, -1.0, 0.0, 0.4])
     assert all(np.isfinite([r.kl, r.mi]).all() for r in rows)
     assert "G" not in vars(stats)
